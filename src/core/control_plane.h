@@ -18,10 +18,12 @@
 // master mutex); the core itself is single-threaded by design.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "core/binding.h"
 #include "core/failure_detection.h"
 #include "core/lifecycle.h"
@@ -96,13 +98,16 @@ class ControlPlane {
   /// Algorithm 1 pass: sets each pending entry's earliest-finish target.
   /// `snapshots` must be in the backend's deterministic node order (both
   /// drivers precompute a sorted order at construction — the slave set is
-  /// fixed, so no per-pass sort is needed).
+  /// fixed, so no per-pass sort is needed). Under LateTargeted the pass
+  /// also rebuilds the per-node bind lists.
   TargetingStats retarget(const std::vector<SlaveSnapshot>& snapshots, SimTime now);
 
   /// Binds up to `free_slots` pending entries eligible for `node` under
   /// the configured binding mode (target match for LateTargeted; replica
   /// holder not on the avoid list for LateAnyReplica; nothing for
-  /// EagerRandom — eager strategies pick nodes themselves via bind_entry).
+  /// EagerRandom — eager strategies pick nodes themselves via bind_entry),
+  /// in the configured order. Walks only `node`'s bind list, so a pull
+  /// costs what it binds plus the stale candidates it drops, not the queue.
   /// Emits `mig_bind` (and `mig_target` in AtBind mode) per binding.
   std::vector<BoundMigration> bind_for(NodeId node, int free_slots, double sec_per_byte,
                                        SimTime now);
@@ -127,9 +132,42 @@ class ControlPlane {
   const std::vector<std::pair<BlockId, NodeId>>& binding_log() const { return binding_log_; }
 
  private:
+  /// A bind candidate: the entry pushed for `block` with push stamp `seq`.
+  struct Candidate {
+    BlockId block;
+    std::uint64_t seq = 0;
+  };
+  /// One node's candidates in queue order. LateTargeted lists hold the
+  /// entries the last pass targeted at the node; LateAnyReplica lists the
+  /// entries the node holds a replica of, appended at enqueue. Entries
+  /// before `head` are spent. A candidate goes stale when its entry is
+  /// erased or re-pushed (seq mismatch), retargeted (only a pass can, and
+  /// the pass rebuilds the lists), or comes to avoid the node — each
+  /// permanent, so stale candidates are dropped on sight.
+  struct BindList {
+    std::vector<Candidate> entries;
+    std::size_t head = 0;
+  };
+
+  BindList& bind_list(NodeId node) {
+    DYRS_CHECK_MSG(node.valid(), "bind list for an invalid node");
+    const auto n = static_cast<std::size_t>(node.value());
+    if (n >= bind_lists_.size()) bind_lists_.resize(n + 1);
+    return bind_lists_[n];
+  }
+  void clear_bind_lists();
+  /// Appends `pm` to its target's list (if it has a target).
+  void list_target(const PendingMigration& pm);
+  /// Refills every bind list from the entries' targets, in queue order.
+  void rebuild_target_lists();
+  /// The live queue entry behind `c` if it may still bind to `node`, else end().
+  PendingQueue::iterator eligible(NodeId node, const Candidate& c);
+
   ControlPlaneConfig config_;
   PendingQueue queue_;
   RetargetIndex index_;
+  TargetScorer scorer_;
+  std::vector<BindList> bind_lists_;  // by node value
   LifecycleEmitter emitter_;
   std::vector<std::pair<BlockId, NodeId>> binding_log_;
 };

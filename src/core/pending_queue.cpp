@@ -20,6 +20,7 @@ PendingMigration* PendingQueue::lookup(BlockId block) {
 PendingMigration& PendingQueue::push(PendingMigration pm) {
   DYRS_CHECK_MSG(!contains(pm.block), "block " << pm.block << " already pending");
   ++mutations_;
+  pm.seq = mutations_;  // pushes bump the count, so it is unique per push
   list_.push_back(std::move(pm));
   auto it = std::prev(list_.end());
   index_[it->block] = it;
@@ -51,20 +52,23 @@ std::vector<PendingQueue::iterator> PendingQueue::in_order(Ordering ordering) {
   std::vector<iterator> order;
   order.reserve(list_.size());
   for (auto it = list_.begin(); it != list_.end(); ++it) order.push_back(it);
-  if (ordering == Ordering::SmallestJobFirst && order.size() > 1) {
-    std::unordered_map<JobId, Bytes> outstanding;
-    for (const auto& pm : list_) {
-      for (const auto& [job, mode] : pm.jobs) outstanding[job] += pm.size;
-    }
-    auto key = [&outstanding](const PendingMigration& pm) {
-      Bytes best = std::numeric_limits<Bytes>::max();
-      for (const auto& [job, mode] : pm.jobs) best = std::min(best, outstanding[job]);
-      return best;
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&key](const auto& a, const auto& b) { return key(*a) < key(*b); });
-  }
+  if (ordering == Ordering::SmallestJobFirst) rank_smallest_job_first(order);
   return order;
+}
+
+void PendingQueue::rank_smallest_job_first(std::vector<iterator>& entries) const {
+  if (entries.size() <= 1) return;
+  std::unordered_map<JobId, Bytes> outstanding;
+  for (const auto& pm : list_) {
+    for (const auto& [job, mode] : pm.jobs) outstanding[job] += pm.size;
+  }
+  auto key = [&outstanding](const PendingMigration& pm) {
+    Bytes best = std::numeric_limits<Bytes>::max();
+    for (const auto& [job, mode] : pm.jobs) best = std::min(best, outstanding[job]);
+    return best;
+  };
+  std::stable_sort(entries.begin(), entries.end(),
+                   [&key](const auto& a, const auto& b) { return key(*a) < key(*b); });
 }
 
 }  // namespace dyrs::core

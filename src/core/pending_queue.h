@@ -40,7 +40,8 @@ class PendingQueue {
   /// The entry for `block`, or nullptr.
   PendingMigration* lookup(BlockId block);
 
-  /// Appends `pm` (which must not already be queued) and indexes it.
+  /// Appends `pm` (which must not already be queued), indexes it and
+  /// stamps its `seq`.
   PendingMigration& push(PendingMigration pm);
 
   /// Erases the entry at `it`; returns the iterator past it.
@@ -60,6 +61,11 @@ class PendingQueue {
   /// an entry wanted by several jobs inherits the most urgent (smallest)
   /// one, and the sort is stable so FIFO order survives within a job.
   std::vector<iterator> in_order(Ordering ordering);
+
+  /// Stable-sorts `entries` (in queue order) by the SmallestJobFirst key
+  /// over the whole queue as it stands: a subset ranked this way keeps the
+  /// relative order `in_order(SmallestJobFirst)` gives it.
+  void rank_smallest_job_first(std::vector<iterator>& entries) const;
 
  private:
   List list_;

@@ -50,4 +50,21 @@ TargetingStats assign_targets(std::vector<PendingMigration*>& pending,
   return stats;
 }
 
+void TargetScorer::begin(const std::vector<SlaveSnapshot>& slaves) {
+  for (std::size_t n : reporting_) sec_per_byte_[n] = 0.0;
+  reporting_.clear();
+  for (const auto& s : slaves) {
+    DYRS_CHECK_MSG(s.sec_per_byte > 0.0, "slave " << s.node << " reported non-positive rate");
+    DYRS_CHECK_MSG(s.node.valid(), "snapshot for an invalid node");
+    const auto n = static_cast<std::size_t>(s.node.value());
+    if (n >= sec_per_byte_.size()) {
+      sec_per_byte_.resize(n + 1, 0.0);
+      load_seconds_.resize(n + 1, 0.0);
+    }
+    sec_per_byte_[n] = s.sec_per_byte;
+    load_seconds_[n] = s.sec_per_byte * static_cast<double>(s.queued_bytes);
+    reporting_.push_back(n);
+  }
+}
+
 }  // namespace dyrs::core

@@ -346,11 +346,6 @@ bool RetargetIndex::self_check(const PendingQueue& queue) const {
   return true;
 }
 
-double RetargetIndex::basis_sec_per_byte(NodeId node) const {
-  auto it = basis_spb_.find(node);
-  return it == basis_spb_.end() ? 0.0 : it->second;
-}
-
 std::pair<NodeId, double> RetargetIndex::least_loaded(std::size_t shard) {
   Shard& sh = shards_.at(shard);
   return sh.heap.min(sh.loads);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,6 +35,9 @@ struct PendingMigration {
   /// Node Algorithm 1 currently expects to finish this block soonest.
   NodeId target = NodeId::invalid();
   SimTime requested_at = 0;
+  /// Stamped by PendingQueue::push, unique per push: tells a requeued entry
+  /// apart from an earlier entry of the same block.
+  std::uint64_t seq = 0;
 };
 
 /// A migration bound to a specific slave.

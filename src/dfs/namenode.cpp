@@ -134,6 +134,15 @@ std::vector<NodeId> NameNode::memory_locations(BlockId block) const {
   return out;
 }
 
+bool NameNode::is_local(BlockId block, NodeId node) const {
+  auto dn = datanodes_.find(node);
+  if (dn == datanodes_.end() || !available(node) || !dn->second->serving()) return false;
+  auto mem = memory_.find(block);
+  if (mem != memory_.end() && mem->second.count(node) != 0) return true;
+  const auto& raw = raw_replicas(block);
+  return std::find(raw.begin(), raw.end(), node) != raw.end();
+}
+
 std::vector<BlockId> NameNode::under_replicated_blocks() const {
   std::vector<BlockId> out;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {

@@ -86,6 +86,11 @@ class NameNode {
 
   /// Available nodes currently holding `block` in memory.
   std::vector<NodeId> memory_locations(BlockId block) const;
+  /// Whether a read of `block` on `node` is local: the node is an
+  /// available, serving datanode holding a memory or a disk replica —
+  /// membership in memory_locations() or block_locations(), answered
+  /// without building either.
+  bool is_local(BlockId block, NodeId node) const;
   bool in_memory(BlockId block) const { return !memory_locations(block).empty(); }
   std::size_t memory_replica_count() const;
   /// Every registered (block, node) in-memory replica pair, unfiltered and

@@ -37,14 +37,6 @@ int MigrationSlave::free_slots() const {
   return std::max(0, queue_capacity() - queued_count() - backoff_count());
 }
 
-Bytes MigrationSlave::bound_bytes() const {
-  Bytes total = 0;
-  for (const auto& m : queue_) total += m.size;
-  for (const auto& [block, a] : active_) total += a.m.size;
-  for (const auto& [block, b] : backoff_) total += b.m.size;
-  return total;
-}
-
 bool MigrationSlave::enqueue(BoundMigration m) {
   DYRS_CHECK_MSG(datanode_.has_block(m.block),
                  "slave " << id() << " asked to migrate non-local block " << m.block);
@@ -55,6 +47,7 @@ bool MigrationSlave::enqueue(BoundMigration m) {
     buffers_.add_refs(m.block, m.jobs);
     return false;
   }
+  bound_bytes_ += m.size;
   queue_.push_back(std::move(m));
   maybe_start();
   return true;
@@ -186,6 +179,7 @@ void MigrationSlave::finish_migration(BlockId block, SimTime finished) {
   record.bound_at = a.m.bound_at;
   record.started_at = a.started_at;
   record.finished_at = finished;
+  bound_bytes_ -= a.m.size;
   active_.erase(it);
   ++completed_;
   if (callbacks_.on_complete) callbacks_.on_complete(record);
@@ -200,6 +194,7 @@ void MigrationSlave::fail_migration(BlockId block) {
   buffers_.force_evict(block);  // drop the partially-read pages
   ++m.attempts;
   if (config_.retry.exhausted(m.attempts)) {
+    bound_bytes_ -= m.size;
     ++permanent_failures_;
     DYRS_LOG(Debug, "slave") << "node " << id() << " giving up on block " << block << " after "
                              << m.attempts << " attempts";
@@ -230,6 +225,7 @@ bool MigrationSlave::cancel_block(BlockId block) {
   auto it = active_.find(block);
   if (it != active_.end()) {
     datanode_.node().disk().cancel(it->second.flow);
+    bound_bytes_ -= it->second.m.size;
     active_.erase(it);
     buffers_.force_evict(block);  // releases the reserved pages
     maybe_start();
@@ -238,12 +234,14 @@ bool MigrationSlave::cancel_block(BlockId block) {
   auto bit = backoff_.find(block);
   if (bit != backoff_.end()) {
     bit->second.timer.cancel();
+    bound_bytes_ -= bit->second.m.size;
     backoff_.erase(bit);  // no buffer held: it was evicted on failure
     return true;
   }
   auto qit = std::find_if(queue_.begin(), queue_.end(),
                           [block](const BoundMigration& m) { return m.block == block; });
   if (qit != queue_.end()) {
+    bound_bytes_ -= qit->size;
     queue_.erase(qit);
     // Dropping a queued entry can unstall admission for the new head.
     maybe_start();
@@ -329,6 +327,7 @@ MigrationSlave::CrashReport MigrationSlave::crash() {
   backoff_.clear();
   for (auto& m : queue_) report.lost.push_back(std::move(m));
   queue_.clear();
+  bound_bytes_ = 0;
   stalled_ = false;
   report.buffered = buffers_.clear_all();
   return report;

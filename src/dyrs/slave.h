@@ -83,8 +83,9 @@ class MigrationSlave {
   int in_flight_count() const { return static_cast<int>(active_.size()); }
   /// Slots the master may fill on the next pull.
   int free_slots() const;
-  /// Bytes bound locally and not yet migrated (queue + in-flight).
-  Bytes bound_bytes() const;
+  /// Bytes bound locally and not yet migrated (queued, in flight or in
+  /// retry backoff); a running total kept on every transition.
+  Bytes bound_bytes() const { return bound_bytes_; }
 
   /// Binds a migration to this slave (final, §III-A). Respects nothing —
   /// capacity discipline is the *master's* job on the pull path; eager
@@ -208,6 +209,7 @@ class MigrationSlave {
   std::deque<BoundMigration> queue_;
   std::unordered_map<BlockId, Active> active_;
   std::unordered_map<BlockId, Backoff> backoff_;
+  Bytes bound_bytes_ = 0;  // sizes across queue_, active_ and backoff_
   bool stalled_ = false;
   long completed_ = 0;
   long retries_ = 0;

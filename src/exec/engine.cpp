@@ -18,9 +18,8 @@ Engine::Engine(cluster::Cluster& cluster, dfs::NameNode& namenode, dfs::DFSClien
   DYRS_CHECK(options_.map_slots_per_node > 0);
   DYRS_CHECK(options_.reduce_slots_per_node >= 0);
   DYRS_CHECK(options_.output_replication >= 1);
-  for (NodeId id : cluster_.node_ids()) {
-    slots_[id] = {options_.map_slots_per_node, options_.reduce_slots_per_node};
-  }
+  slots_.assign(static_cast<std::size_t>(cluster_.size()),
+                {options_.map_slots_per_node, options_.reduce_slots_per_node});
   if (options_.speculative_execution) {
     DYRS_CHECK(options_.speculation_slowdown > 1.0);
     speculation_timer_ = cluster_.simulator().every(options_.speculation_check_interval,
@@ -134,17 +133,10 @@ void Engine::try_schedule() {
     progress = false;
     for (NodeId node : cluster_.node_ids()) {
       if (!cluster_.node(node).alive()) continue;
-      if (slots_[node].map_free > 0 && schedule_map_on(node)) progress = true;
-      if (slots_[node].reduce_free > 0 && schedule_reduce_on(node)) progress = true;
+      if (slots(node).map_free > 0 && schedule_map_on(node)) progress = true;
+      if (slots(node).reduce_free > 0 && schedule_reduce_on(node)) progress = true;
     }
   }
-}
-
-bool Engine::map_is_local(NodeId node, BlockId block) const {
-  const auto memory = namenode_.memory_locations(block);
-  if (std::find(memory.begin(), memory.end(), node) != memory.end()) return true;
-  const auto disk = namenode_.block_locations(block);
-  return std::find(disk.begin(), disk.end(), node) != disk.end();
 }
 
 bool Engine::schedule_map_on(NodeId node) {
@@ -154,11 +146,15 @@ bool Engine::schedule_map_on(NodeId node) {
       auto it = active_.find(jid);
       if (it == active_.end()) continue;
       Job& job = it->second;
-      for (MapTask& task : job.maps) {
+      for (std::size_t i = job.next_map; i < job.maps.size(); ++i) {
+        MapTask& task = job.maps[i];
         if (task.scheduled) continue;
-        if (require_local && !map_is_local(node, task.block)) continue;
+        if (require_local && !namenode_.is_local(task.block, node)) continue;
         task.scheduled = true;
-        --slots_[node].map_free;
+        while (job.next_map < job.maps.size() && job.maps[job.next_map].scheduled) {
+          ++job.next_map;
+        }
+        --slots(node).map_free;
         run_map(job, task, node, /*speculative=*/false);
         return true;
       }
@@ -176,7 +172,7 @@ bool Engine::schedule_reduce_on(NodeId node) {
     for (ReduceTask& task : job.reduces) {
       if (task.scheduled) continue;
       task.scheduled = true;
-      --slots_[node].reduce_free;
+      --slots(node).reduce_free;
       run_reduce(job, task, node);
       return true;
     }
@@ -223,7 +219,7 @@ void Engine::run_map(Job& job, MapTask& task, NodeId node, bool speculative) {
           static_cast<double>(size) / compute_rate * 1e6);
       cluster_.simulator().schedule_after(
           compute, [this, jid, node, record, done_flag, speculative]() {
-            ++slots_[node].map_free;
+            ++slots(node).map_free;
             if (*done_flag) {
               // The other attempt won; this one just releases its slot.
               try_schedule();
@@ -272,8 +268,8 @@ void Engine::speculation_pass() {
       // Find a free slot on a different node.
       for (NodeId node : cluster_.node_ids()) {
         if (node == task.first_node || !cluster_.node(node).alive()) continue;
-        if (slots_[node].map_free <= 0) continue;
-        --slots_[node].map_free;
+        if (slots(node).map_free <= 0) continue;
+        --slots(node).map_free;
         ++speculative_launches_;
         run_map(job, task, node, /*speculative=*/true);
         break;
@@ -358,7 +354,7 @@ void Engine::run_reduce(Job& job, ReduceTask& task, NodeId node) {
                           .with("node", node.value())
                           .with("phase", "reduce"));
       }
-      ++slots_[node].reduce_free;
+      ++slots(node).reduce_free;
       auto it = active_.find(jid);
       if (it != active_.end()) {
         Job& j = it->second;

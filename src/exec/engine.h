@@ -17,6 +17,7 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "common/random.h"
@@ -98,6 +99,9 @@ class Engine {
     JobSpec spec;
     JobRecord record;
     std::vector<MapTask> maps;
+    /// Index of the first unscheduled map. Maps never become unscheduled
+    /// again, so every map before it is scheduled.
+    std::size_t next_map = 0;
     std::vector<ReduceTask> reduces;
     int maps_remaining = 0;
     int reduces_remaining = 0;
@@ -116,9 +120,9 @@ class Engine {
   void begin_submission(JobId id, JobSpec spec);
   void make_eligible(JobId id);
   void try_schedule();
+  Slots& slots(NodeId node) { return slots_[static_cast<std::size_t>(node.value())]; }
   bool schedule_map_on(NodeId node);
   bool schedule_reduce_on(NodeId node);
-  bool map_is_local(NodeId node, BlockId block) const;
   void run_map(Job& job, MapTask& task, NodeId node, bool speculative);
   void speculation_pass();
   void run_reduce(Job& job, ReduceTask& task, NodeId node);
@@ -138,7 +142,7 @@ class Engine {
 
   std::unordered_map<JobId, Job> active_;
   std::deque<JobId> runnable_;  // FIFO eligibility order
-  std::unordered_map<NodeId, Slots> slots_;
+  std::vector<Slots> slots_;  // by node value (the cluster's ids are 0..n-1)
   Metrics metrics_;
   Rng rng_{21};
   std::int64_t next_job_ = 0;

@@ -118,6 +118,7 @@ bool RtSlave::cancel(BlockId block) {
       if (!found) {
         for (auto it = queue_.begin(); it != queue_.end(); ++it) {
           if (it->m.block == block) {
+            queued_bytes_ -= it->m.size;
             queue_.erase(it);
             found = true;
             break;
@@ -174,6 +175,7 @@ void RtSlave::crash() {
   // detector's job, exactly as with a real machine.
   std::lock_guard lock(mu_);
   queue_.clear();
+  queued_bytes_ = 0;
   buffers_.clear_all();
   data_.clear();
   batch_blocks_.clear();
@@ -255,9 +257,7 @@ double RtSlave::sec_per_byte() const {
 
 Bytes RtSlave::bound_bytes() const {
   std::lock_guard lock(mu_);
-  Bytes total = in_flight_bytes_;
-  for (const auto& m : queue_) total += m.m.size;
-  return total;
+  return in_flight_bytes_ + queued_bytes_;
 }
 
 std::size_t RtSlave::buffered_count() const {
@@ -326,7 +326,10 @@ void RtSlave::worker_loop(std::stop_token st) {
         }
         lock.lock();
         if (crashed_) return;
-        for (auto& m : pulled) queue_.push_back(std::move(m));
+        for (auto& m : pulled) {
+          queued_bytes_ += m.m.size;
+          queue_.push_back(std::move(m));
+        }
       }
       if (queue_.empty()) {
         // Nothing to do: sleep until poked or stopped. Short timeout keeps
@@ -347,6 +350,7 @@ void RtSlave::worker_loop(std::stop_token st) {
         for (std::size_t i = 0; i < take; ++i) {
           batch.push_back(std::move(queue_.front()));
           queue_.pop_front();
+          queued_bytes_ -= batch.back().m.size;
           batch_blocks_.push_back(batch.back().m.block);
           batch_state_.push_back(kBatchQueued);
           total += batch.back().m.size;
@@ -357,6 +361,7 @@ void RtSlave::worker_loop(std::stop_token st) {
       } else {
         next = std::move(queue_.front());
         queue_.pop_front();
+        queued_bytes_ -= next.m.size;
         in_flight_bytes_ = next.m.size;
         active_block_ = next.m.block;
         active_cancelled_.store(false, std::memory_order_relaxed);

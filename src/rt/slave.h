@@ -276,6 +276,7 @@ class RtSlave {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<RtMigration> queue_;
+  Bytes queued_bytes_ = 0;  // sizes across queue_
   Bytes in_flight_bytes_ = 0;
   BlockId active_block_ = BlockId::invalid();
   /// Blocks and per-member state of the batch being read (empty outside a

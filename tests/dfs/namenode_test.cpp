@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "testing/fixture.h"
 
@@ -111,6 +113,88 @@ TEST(NameNode, DropMemoryReplicasOnNode) {
   EXPECT_FALSE(t.namenode->in_memory(f.blocks[1]));
   EXPECT_TRUE(t.namenode->in_memory(f.blocks[2]));
   EXPECT_EQ(t.namenode->memory_replica_count(), 1u);
+}
+
+// is_local must be exactly "node is in memory_locations() or in
+// block_locations()" — checked over every (block, node) pair as the memory
+// registry and node liveness change underneath it.
+struct LocalityCounts {
+  int memory_only = 0;  // local through a memory replica alone
+  int disk = 0;
+  int remote = 0;
+};
+
+void expect_is_local_agrees(const NameNode& nn, const std::vector<BlockId>& blocks, int nodes,
+                            LocalityCounts& counts) {
+  auto has = [](const std::vector<NodeId>& v, NodeId n) {
+    return std::find(v.begin(), v.end(), n) != v.end();
+  };
+  for (BlockId b : blocks) {
+    const auto memory = nn.memory_locations(b);
+    const auto disk = nn.block_locations(b);
+    for (int i = 0; i < nodes; ++i) {
+      const NodeId n(i);
+      const bool expected = has(memory, n) || has(disk, n);
+      EXPECT_EQ(nn.is_local(b, n), expected) << "block " << b << " node " << n;
+      if (has(disk, n)) {
+        ++counts.disk;
+      } else if (expected) {
+        ++counts.memory_only;
+      } else {
+        ++counts.remote;
+      }
+    }
+  }
+}
+
+TEST(NameNode, IsLocalAgreesWithLocationListsThroughChurn) {
+  MiniDfs::Options options;
+  options.num_nodes = 5;
+  options.replication = 2;
+  MiniDfs t(std::move(options));
+  const auto& f = t.namenode->create_file("/input", mib(64) * 12);
+  const std::vector<BlockId> blocks = f.blocks;
+  LocalityCounts counts;
+  auto check = [&] { expect_is_local_agrees(*t.namenode, blocks, 5, counts); };
+  check();
+
+  // Memory replicas on holders and on non-holders (remote migrations).
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    t.namenode->register_memory_replica(blocks[i], NodeId(static_cast<int>(i % 5)));
+    t.namenode->register_memory_replica(blocks[i], NodeId(static_cast<int>((i * 3 + 1) % 5)));
+  }
+  check();
+  for (std::size_t i = 0; i < blocks.size(); i += 3) {
+    t.namenode->unregister_memory_replica(blocks[i], NodeId(static_cast<int>(i % 5)));
+  }
+  check();
+
+  // Process crash: node 1 stops serving at once.
+  t.datanodes[1]->crash_process();
+  check();
+  // Partition: node 2 keeps serving but its heartbeats stop reaching the
+  // namenode until it is declared unavailable.
+  t.datanodes[2]->set_partitioned(true);
+  t.sim.run_until(seconds(10));
+  ASSERT_FALSE(t.namenode->available(NodeId(2)));
+  check();
+
+  // Rejoin: restart and heal, then let heartbeats land.
+  t.datanodes[1]->restart_process();
+  t.datanodes[2]->set_partitioned(false);
+  t.sim.run_until(seconds(13));
+  ASSERT_TRUE(t.namenode->available(NodeId(1)));
+  ASSERT_TRUE(t.namenode->available(NodeId(2)));
+  check();
+
+  t.namenode->drop_memory_replicas_on(NodeId(3));
+  check();
+  // A node id the namenode never registered is never local.
+  EXPECT_FALSE(t.namenode->is_local(blocks[0], NodeId(7)));
+
+  EXPECT_GT(counts.memory_only, 0);
+  EXPECT_GT(counts.disk, 0);
+  EXPECT_GT(counts.remote, 0);
 }
 
 TEST(NameNode, PlacementDeterministicAcrossRuns) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "testing/fixture.h"
 
 namespace dyrs::core {
@@ -270,6 +274,88 @@ TEST_F(SlaveFixture, CrashReportsBufferedBlocks) {
   EXPECT_EQ(report.buffered[0], file->blocks[0]);
   EXPECT_TRUE(report.lost.empty());  // the migration had already completed
   EXPECT_EQ(dfs.cluster->node(NodeId(0)).memory().pinned(), 0);
+}
+
+// bound_bytes() is a running total kept on each transition; it must equal
+// a re-sum of every migration still bound here (queued, in flight or
+// backing off) after enqueue, start, finish, cancel, backoff, retry,
+// permanent failure and crash.
+TEST_F(SlaveFixture, BoundBytesCounterMatchesResum) {
+  std::vector<BlockId> blocks(file->blocks.begin(), file->blocks.begin() + 10);
+  // Creating a file may move `file`'s metadata: copy its blocks first.
+  const BlockId small = dfs.namenode->create_file("/odd", mib(64) + mib(16)).blocks[1];
+  blocks.push_back(small);  // 16 MiB tail block
+  auto resum = [&] {
+    Bytes total = 0;
+    for (BlockId b : blocks) {
+      if (const BoundMigration* m = slave->local_migration(b)) total += m->size;
+    }
+    return total;
+  };
+  auto check = [&](const std::string& when) { EXPECT_EQ(slave->bound_bytes(), resum()) << when; };
+  // Steps the simulation in 50 ms slices, checking after each, so every
+  // transition the slave makes on its own (start, finish, backoff, retry)
+  // is observed.
+  auto run_checked = [&](SimDuration span) {
+    const SimTime end = dfs.sim.now() + span;
+    while (dfs.sim.now() < end) {
+      dfs.sim.run_until(std::min(end, dfs.sim.now() + milliseconds(50)));
+      check("t=" + std::to_string(dfs.sim.now()));
+    }
+  };
+
+  EXPECT_EQ(slave->bound_bytes(), 0);
+  slave->enqueue(bound(blocks[0]));
+  check("enqueue + start");
+  slave->enqueue(bound(small));
+  slave->enqueue(bound(blocks[1]));
+  slave->enqueue(bound(blocks[2]));
+  check("enqueue");
+  EXPECT_EQ(slave->bound_bytes(), 3 * mib(64) + mib(16));
+
+  run_checked(milliseconds(1100));  // blocks[0] finished, the small one runs
+  ASSERT_EQ(completed.size(), 1u);
+  ASSERT_EQ(slave->in_flight_count(), 1);
+  EXPECT_TRUE(slave->cancel_block(blocks[2]));
+  check("cancel queued");
+  EXPECT_TRUE(slave->cancel_block(small));
+  check("cancel in flight");
+
+  // The next two reads fail transiently: backoff, then retry.
+  int transient = 2;
+  dfs.datanodes[0]->migration_read_fault = [&transient] { return transient-- > 0; };
+  slave->enqueue(bound(blocks[3]));
+  run_checked(seconds(6));
+  EXPECT_EQ(slave->retries(), 2);
+  EXPECT_EQ(slave->bound_bytes(), 0);
+
+  // Every read fails: the slave exhausts its budget and gives the block up.
+  dfs.datanodes[0]->migration_read_fault = [] { return true; };
+  slave->enqueue(bound(blocks[4]));
+  run_checked(seconds(8));
+  EXPECT_EQ(slave->permanent_failures(), 1);
+  EXPECT_EQ(slave->bound_bytes(), 0);
+
+  // Cancel while backing off.
+  slave->enqueue(bound(blocks[5]));
+  run_checked(milliseconds(1050));
+  ASSERT_EQ(slave->backoff_count(), 1);
+  EXPECT_TRUE(slave->cancel_block(blocks[5]));
+  check("cancel in backoff");
+
+  // Crash with one migration backing off, one in flight and one queued.
+  slave->enqueue(bound(blocks[6]));
+  slave->enqueue(bound(blocks[7]));
+  slave->enqueue(bound(blocks[8]));
+  run_checked(milliseconds(1050));
+  ASSERT_EQ(slave->backoff_count(), 1);
+  ASSERT_EQ(slave->in_flight_count(), 1);
+  ASSERT_EQ(slave->queued_count(), 1);
+  EXPECT_EQ(slave->bound_bytes(), 3 * mib(64));
+  const auto report = slave->crash();
+  EXPECT_EQ(report.lost.size(), 3u);
+  check("crash");
+  EXPECT_EQ(slave->bound_bytes(), 0);
 }
 
 TEST_F(SlaveFixture, EnqueueNonLocalBlockThrows) {
