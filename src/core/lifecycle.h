@@ -5,11 +5,13 @@
 //     (-> mig_transfer_retry* -> mig_transfer_failed)
 //   -> mig_complete | mig_abort, with mig_requeue marking a re-enqueue.
 //
-// The sim backend's tracer is single-threaded and relies on emission
-// order; the rt backend's ThreadLocalBufferSink instead sorts by the merge
-// key (block, lseq, tid, tseq). A backend that needs the key installs a
-// Stamper, which receives every event together with its owning block and
-// lifecycle rank just before emission and appends the backend's fields.
+// Each event is an obs::LifecycleRecord: fixed layout, no heap, so a
+// buffering sink copies it and renders JSON only at export. The sim
+// backend's tracer is single-threaded and relies on emission order; the rt
+// backend's ThreadLocalBufferSink instead sorts by the merge key (block,
+// lseq, tid, tseq). A backend that needs the key installs a Stamper, which
+// receives every record (its block already set) with its lifecycle rank
+// just before emission and writes the record's key members.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +57,7 @@ struct CompletionRecord {
 
 class LifecycleEmitter {
  public:
-  using Stamper = std::function<void(obs::TraceEvent&, BlockId, int rank)>;
+  using Stamper = std::function<void(obs::LifecycleRecord&, int rank)>;
 
   LifecycleEmitter() = default;
   explicit LifecycleEmitter(const obs::ObsContext& obs, Stamper stamper = nullptr)
@@ -89,7 +91,7 @@ class LifecycleEmitter {
   void demote(SimTime at, BlockId block, NodeId node, Tier from, Tier to, Bytes size);
 
  private:
-  void emit(obs::TraceEvent& e, BlockId block, int rank);
+  void emit(obs::LifecycleRecord& r, int rank);
 
   obs::ObsContext obs_;
   Stamper stamper_;

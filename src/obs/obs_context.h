@@ -75,6 +75,9 @@ class ObsContext {
   void emit(const TraceEvent& e) const {
     if (tracer_ != nullptr) tracer_->emit(e);
   }
+  void emit_record(const LifecycleRecord& r) const {
+    if (tracer_ != nullptr) tracer_->emit_record(r);
+  }
 
   /// Instrument lookups; nullptr without a registry so layers can cache the
   /// result and guard increments with a pointer check.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
-#include <numeric>
 #include <tuple>
 
 #include "common/check.h"
@@ -45,27 +44,80 @@ ThreadLocalBufferSink::Buffer& ThreadLocalBufferSink::local_buffer() {
   return *raw;
 }
 
-void ThreadLocalBufferSink::emit(const TraceEvent& e) { local_buffer().events.push_back(e); }
+void ThreadLocalBufferSink::emit(const TraceEvent& e) {
+  Buffer& b = local_buffer();
+  b.events.push_back({{e.i64("block", -1), e.i64("lseq", 0), e.i64("tid", 0), e.i64("tseq", 0),
+                       b.next_seq++},
+                      e});
+}
 
-std::vector<TraceEvent> ThreadLocalBufferSink::merge_thread_buffers() const {
-  std::vector<TraceEvent> out;
+void ThreadLocalBufferSink::emit_record(const LifecycleRecord& r) {
+  Buffer& b = local_buffer();
+  if (b.records.empty() || b.records.back().size() == kChunkRecords) {
+    b.records.emplace_back().reserve(kChunkRecords);
+  }
+  b.records.back().emplace_back(r).seq = b.next_seq++;
+}
+
+std::vector<ThreadLocalBufferSink::Slot> ThreadLocalBufferSink::merged_slots() const {
+  std::vector<Slot> slots;
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::size_t total = 0;
-    for (const auto& b : buffers_) total += b->events.size();
-    out.reserve(total);
-    for (const auto& b : buffers_) {
-      out.insert(out.end(), b->events.begin(), b->events.end());
+    for (const auto& b : buffers_) total += b->next_seq;
+    slots.reserve(total);
+    for (std::size_t i = 0; i < buffers_.size(); ++i) {
+      for (const auto& chunk : buffers_[i]->records) {
+        for (const LifecycleRecord& r : chunk) {
+          slots.push_back({{r.block, r.lseq, r.tid, r.tseq, r.seq}, i, &r, nullptr});
+        }
+      }
+      for (const KeyedEvent& k : buffers_[i]->events) {
+        slots.push_back({k.key, i, nullptr, &k.event});
+      }
     }
   }
-  sort_by_merge_key(out);
+  // (buffer, seq) is unique, so this is a total order: the one a stable
+  // sort of the buffers concatenated in registration order would give.
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+    return std::tie(a.key.block, a.key.lseq, a.key.tid, a.key.tseq, a.buffer, a.key.seq) <
+           std::tie(b.key.block, b.key.lseq, b.key.tid, b.key.tseq, b.buffer, b.key.seq);
+  });
+  return slots;
+}
+
+std::vector<TraceEvent> ThreadLocalBufferSink::merge_thread_buffers() const {
+  const std::vector<Slot> slots = merged_slots();
+  std::vector<TraceEvent> out;
+  out.reserve(slots.size());
+  for (const Slot& s : slots) {
+    out.push_back(s.record != nullptr ? to_event(*s.record) : *s.event);
+  }
   return out;
 }
 
 void ThreadLocalBufferSink::write_jsonl(const std::string& path) const {
-  std::ofstream os(path, std::ios::out | std::ios::trunc);
+  std::ofstream os(path, std::ios::out | std::ios::trunc | std::ios::binary);
   DYRS_CHECK_MSG(os.is_open(), "cannot open trace file " << path);
-  for (const TraceEvent& e : merge_thread_buffers()) os << to_json(e) << "\n";
+  // Rendered in place into one reused buffer, written out every 64 KiB.
+  constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+  std::string text;
+  text.reserve(2 * kFlushBytes);
+  for (const Slot& s : merged_slots()) {
+    if (s.record != nullptr) {
+      append_json(text, *s.record);
+    } else {
+      append_json(text, *s.event);
+    }
+    text += '\n';
+    if (text.size() >= kFlushBytes) {
+      os.write(text.data(), static_cast<std::streamsize>(text.size()));
+      text.clear();
+    }
+  }
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  os.close();
+  DYRS_CHECK_MSG(!os.fail(), "cannot write trace file " << path);
 }
 
 std::size_t ThreadLocalBufferSink::thread_count() const {
@@ -76,28 +128,8 @@ std::size_t ThreadLocalBufferSink::thread_count() const {
 std::size_t ThreadLocalBufferSink::event_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t total = 0;
-  for (const auto& b : buffers_) total += b->events.size();
+  for (const auto& b : buffers_) total += b->next_seq;
   return total;
-}
-
-void sort_by_merge_key(std::vector<TraceEvent>& events) {
-  using Key = std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>;
-  // Precompute keys once — i64() is a linear field scan and the comparator
-  // runs O(n log n) times.
-  std::vector<Key> keys;
-  keys.reserve(events.size());
-  for (const TraceEvent& e : events) {
-    keys.emplace_back(e.i64("block", -1), e.i64("lseq", 0), e.i64("tid", 0),
-                      e.i64("tseq", 0));
-  }
-  std::vector<std::size_t> order(events.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
-  std::vector<TraceEvent> sorted;
-  sorted.reserve(events.size());
-  for (std::size_t idx : order) sorted.push_back(std::move(events[idx]));
-  events = std::move(sorted);
 }
 
 }  // namespace dyrs::obs

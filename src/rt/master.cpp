@@ -44,12 +44,12 @@ RtMaster::RtMaster(Options options)
   // the per-block counter, or from the thread-local override when settling
   // an older cycle's migration.
   plane_.set_emitter(core::LifecycleEmitter(
-      options_.obs, [this](obs::TraceEvent& e, BlockId block, int rank) {
-        const std::uint64_t cycle = stamp_cycle_ != 0 ? stamp_cycle_ : cycle_for(block);
-        e.with("lseq", rt_lseq(cycle, rank))
-            .with("tid", 0)
-            .with("tseq", static_cast<std::int64_t>(
-                              trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1));
+      options_.obs, [this](obs::LifecycleRecord& r, int rank) {
+        const std::uint64_t cycle =
+            stamp_cycle_ != 0 ? stamp_cycle_ : cycle_for(BlockId(r.block));
+        r.stamp(rt_lseq(cycle, rank), 0,
+                static_cast<std::int64_t>(
+                    trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1));
       }));
   // Each RtSlave starts its worker in its constructor, and the worker's
   // first pull() reads `slaves_` under mu_ — so registration must hold mu_

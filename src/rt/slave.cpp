@@ -53,13 +53,12 @@ RtSlave::RtSlave(Options options, std::function<void(std::vector<RtMigrationDone
                options_.memory_capacity == 0 ? mem_tier_.capacity()
                                              : options_.memory_capacity),
       emitter_(options_.obs,
-               [this](obs::TraceEvent& e, BlockId /*block*/, int rank) {
+               [this](obs::LifecycleRecord& r, int rank) {
                  // Worker-thread merge key: lseq from the lifecycle's cycle,
                  // tid node+1, per-thread monotonic tseq. Only the worker
                  // emits through this emitter, so no locking is needed.
-                 e.with("lseq", rt_lseq(emit_cycle_, rank))
-                     .with("tid", options_.node.value() + 1)
-                     .with("tseq", static_cast<std::int64_t>(++tseq_));
+                 r.stamp(rt_lseq(emit_cycle_, rank), options_.node.value() + 1,
+                         static_cast<std::int64_t>(++tseq_));
                }),
       worker_([this](std::stop_token st) { worker_loop(st); }) {
   DYRS_CHECK(options_.queue_capacity >= 1);

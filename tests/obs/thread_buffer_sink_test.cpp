@@ -77,17 +77,22 @@ TEST(ThreadLocalBufferSink, LaterCyclesSortAfterEarlierOnes) {
 }
 
 TEST(ThreadLocalBufferSink, SortIsStableWithinEqualKeys) {
-  std::vector<TraceEvent> events;
+  // Keyless events and a record with block -1 share the merge key
+  // (-1, 0, 0, 0); they keep their emission order, records and events
+  // interleaved.
+  ThreadLocalBufferSink sink;
   for (int i = 0; i < 3; ++i) {
     TraceEvent e(i, "sample");
-    e.with("name", "p" + std::to_string(i));  // no merge-key fields: all equal
-    events.push_back(e);
+    e.with("name", "p" + std::to_string(i));
+    sink.emit(e);
+    if (i == 1) sink.emit_record(LifecycleRecord(i, "mig_requeue", -1));
   }
-  sort_by_merge_key(events);
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].str("name"), "p0");
-  EXPECT_EQ(events[1].str("name"), "p1");
-  EXPECT_EQ(events[2].str("name"), "p2");
+  const auto merged = sink.merge_thread_buffers();
+  ASSERT_EQ(merged.size(), 4u);
+  EXPECT_EQ(merged[0].str("name"), "p0");
+  EXPECT_EQ(merged[1].str("name"), "p1");
+  EXPECT_EQ(merged[2].type, "mig_requeue");
+  EXPECT_EQ(merged[3].str("name"), "p2");
 }
 
 TEST(ThreadLocalBufferSink, WriteJsonlRoundTrips) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/trace_reader.h"
@@ -38,6 +44,80 @@ TEST(TraceEvent, DoubleFormattingRoundTrips) {
     e.with("v", v);
     const TraceEvent back = parse_json_line(to_json(e));
     EXPECT_EQ(back.f64("v"), v);
+  }
+}
+
+TEST(TraceEvent, DoubleTextMatchesPrintfTable) {
+  // Expected text is what the printf path ("%.9g", else "%.17g", in the C
+  // locale) rendered for each value; f64 must parse it back bit-exactly.
+  // No comma-decimal locale is installed on the build hosts, so this pins
+  // the text rather than switching locales.
+  const std::pair<double, const char*> table[] = {
+      {0.5, "0.5"},
+      {3.25, "3.25"},
+      {0.1, "0.1"},
+      {1.0 / 3, "0.33333333333333331"},
+      {1e-05, "1e-05"},
+      {123456789012.0, "123456789012"},
+      {1e300, "1e+300"},
+      {5e-324, "4.94065646e-324"},
+      {-0.0, "-0"},
+      {-0.5, "-0.5"},
+      {-3.25, "-3.25"},
+      {-0.1, "-0.1"},
+      {-1.0 / 3, "-0.33333333333333331"},
+      {-1e-05, "-1e-05"},
+      {-1e300, "-1e+300"},
+      {0.0, "0"},
+      {100.0, "100"},
+      {0.1 + 0.2, "0.30000000000000004"},
+      {1e21, "1e+21"},
+      {2.5e-08, "2.5e-08"},
+      {1.7976931348623157e308, "1.7976931348623157e+308"},
+      {2.2250738585072014e-308, "2.2250738585072014e-308"},
+      {4096.0 / 3, "1365.3333333333333"},
+  };
+  for (const auto& [v, text] : table) {
+    TraceEvent e(0, "x");
+    e.with("v", v);
+    EXPECT_EQ(e.fields[0].str, text);
+    const double back = e.f64("v");
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << text;
+  }
+}
+
+TEST(TraceEvent, DoubleTextMatchesPrintfOnRandomValues) {
+  // The printf reference: "%.9g" if it parses back exactly, else "%.17g"
+  // (this test process runs in the C locale).
+  auto printf_text = [](double v) {
+    char buf[40];
+    for (int precision : {9, 17}) {
+      std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+      if (std::strtod(buf, nullptr) == v) break;
+    }
+    return std::string(buf);
+  };
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 200'000; ++i) {
+    double v = 0.0;
+    switch (i % 3) {
+      case 0: {  // any finite bit pattern
+        const std::uint64_t bits = rng();
+        std::memcpy(&v, &bits, sizeof v);
+        if (!std::isfinite(v)) continue;
+        break;
+      }
+      case 1:  // short decimals, the values that take the %.9g branch
+        v = static_cast<double>(static_cast<std::int64_t>(rng() % 2'000'000'000) - 1'000'000'000) /
+            static_cast<double>(std::uint64_t{1} << (rng() % 40));
+        break;
+      default:  // measured-looking values across magnitudes
+        v = static_cast<double>(rng() >> 11) * 0x1.0p-53 *
+            std::pow(10.0, static_cast<int>(rng() % 40) - 20);
+    }
+    TraceEvent e(0, "x");
+    e.with("v", v);
+    ASSERT_EQ(e.fields[0].str, printf_text(v)) << "value " << std::hexfloat << v;
   }
 }
 
