@@ -5,19 +5,16 @@
 // Sweeps the node count 8 -> 10k with a fixed multi-million-entry pending
 // queue and times, per cluster size:
 //
-//   ref_full      the reference assign_targets sweep (O(pending x replicas))
-//   shard8_cold   RetargetIndex cold pass with 8 block-striped shards
-//   inc_cold      RetargetIndex cold pass, 1 shard (== reference policy)
-//   inc_noop      steady-state pass, nothing changed
-//   inc_burst     pass after a burst of fresh enqueues (tail extension)
-//   inc_requeue   pass after bind+requeue churn near the tail (dirty suffix)
+//   oracle       assign_targets, the reference formulation (best of 3)
+//   pass cold    ControlPlane::retarget's first pass: TargetScorer plus the
+//                per-node bind-list fill, growing its buffers
+//   pass         ControlPlane::retarget on reused buffers (best of 3), the
+//                cost a master's periodic pass pays
 //
-// The headline claim: steady-state incremental passes (noop / burst /
-// requeue) re-score only what changed, so their latency stays near-flat
-// across the node sweep while the reference sweep pays the full queue every
-// pass. The cold 1-shard pass is also checked for target-exactness against
-// the reference sweep at every cluster size. Results go to stdout and
+// The control-plane pass is checked for target-exactness against the
+// oracle at every cluster size. Results go to stdout and
 // BENCH_retarget.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -28,9 +25,8 @@
 
 #include "bench/common/bench_util.h"
 #include "common/table.h"
-#include "core/pending_queue.h"
+#include "core/control_plane.h"
 #include "core/replica_selector.h"
-#include "core/retarget_index.h"
 
 using namespace dyrs;
 
@@ -55,199 +51,121 @@ std::vector<core::SlaveSnapshot> make_snapshots(int nodes, std::mt19937_64& rng)
   return snaps;
 }
 
-void push_block(core::PendingQueue& queue, core::RetargetIndex* index, int block, int nodes,
-                std::mt19937_64& rng) {
-  core::PendingMigration pm;
-  pm.block = BlockId(block);
-  pm.size = mib(64 + 64 * static_cast<Bytes>(rng() % 4));
-  pm.jobs[JobId(1 + static_cast<std::int64_t>(rng() % 8))] = core::EvictionMode::Explicit;
+void enqueue_block(core::ControlPlane& plane, int block, int nodes, std::mt19937_64& rng) {
+  const Bytes size = mib(64 + 64 * static_cast<Bytes>(rng() % 4));
+  const JobId job(1 + static_cast<std::int64_t>(rng() % 8));
+  std::vector<NodeId> replicas;
   const int first = static_cast<int>(rng() % static_cast<std::uint64_t>(nodes));
-  pm.replicas.emplace_back(first);
+  replicas.emplace_back(first);
   if (nodes > 1) {
-    pm.replicas.emplace_back((first + 1 + static_cast<int>(rng() % static_cast<std::uint64_t>(nodes - 1))) % nodes);
+    replicas.emplace_back((first + 1 + static_cast<int>(rng() % static_cast<std::uint64_t>(nodes - 1))) % nodes);
   }
-  queue.push(std::move(pm));
-  if (index != nullptr) index->note_append(queue, BlockId(block));
+  plane.enqueue(job, core::EvictionMode::Explicit, BlockId(block), size, std::move(replicas), {},
+                0);
 }
 
 struct Row {
   int nodes = 0;
-  double ref_full_ms = 0;
-  double shard8_cold_ms = 0;
-  double inc_cold_ms = 0;
-  double inc_noop_ms = 0;
-  double inc_burst_ms = 0;
-  double inc_requeue_ms = 0;
+  double oracle_ms = 0;
+  double pass_cold_ms = 0;
+  double pass_ms = 0;
   bool exact = false;
 };
 
-Row run_scale(int nodes, int pending, int burst, int churn) {
+constexpr int kRepeats = 3;
+
+Row run_scale(int nodes, int pending) {
   std::mt19937_64 rng(0x5ca1eull + static_cast<std::uint64_t>(nodes));
-  core::PendingQueue queue;
-  int next_block = 0;
-  for (int i = 0; i < pending; ++i) push_block(queue, nullptr, next_block++, nodes, rng);
+  core::ControlPlane plane;  // LateTargeted, FIFO: the pass fills bind lists
+  for (int b = 0; b < pending; ++b) enqueue_block(plane, b, nodes, rng);
   const std::vector<core::SlaveSnapshot> snaps = make_snapshots(nodes, rng);
 
   Row row;
   row.nodes = nodes;
 
-  // Reference sweep, and its targets as the exactness baseline.
+  // The oracle over the same entries; its targets are the exactness
+  // baseline.
   std::vector<core::PendingMigration*> ptrs;
-  ptrs.reserve(queue.size());
-  for (core::PendingMigration& pm : queue) ptrs.push_back(&pm);
-  auto t0 = clock_type::now();
-  core::assign_targets(ptrs, snaps);
-  row.ref_full_ms = ms_since(t0);
-  std::vector<NodeId> ref_targets;
-  ref_targets.reserve(ptrs.size());
-  for (const core::PendingMigration* pm : ptrs) ref_targets.push_back(pm->target);
-
-  // Sharded cold pass (its own policy — measured, not equality-checked).
-  {
-    core::RetargetIndex sharded;
-    core::RetargetConfig cfg;
-    cfg.mode = core::RetargetConfig::Mode::Incremental;
-    cfg.shards = 8;
-    t0 = clock_type::now();
-    sharded.pass(queue, core::Ordering::Fifo, cfg, snaps, 0, nullptr);
-    row.shard8_cold_ms = ms_since(t0);
+  ptrs.reserve(plane.queue().size());
+  for (core::PendingMigration& pm : plane.queue()) ptrs.push_back(&pm);
+  for (int r = 0; r < kRepeats; ++r) {
+    const auto t0 = clock_type::now();
+    core::assign_targets(ptrs, snaps);
+    const double ms = ms_since(t0);
+    if (r == 0 || ms < row.oracle_ms) row.oracle_ms = ms;
+  }
+  // Keep the oracle's targets, then clear them so the exactness check reads
+  // the pass's own.
+  std::vector<NodeId> oracle_targets;
+  oracle_targets.reserve(ptrs.size());
+  for (core::PendingMigration* pm : ptrs) {
+    oracle_targets.push_back(pm->target);
+    pm->target = NodeId::invalid();
   }
 
-  core::RetargetIndex index;
-  core::RetargetConfig cfg;
-  cfg.mode = core::RetargetConfig::Mode::Incremental;
-  t0 = clock_type::now();
-  index.pass(queue, core::Ordering::Fifo, cfg, snaps, 1, nullptr);
-  row.inc_cold_ms = ms_since(t0);
-
+  auto t0 = clock_type::now();
+  plane.retarget(snaps, 1);
+  row.pass_cold_ms = ms_since(t0);
   row.exact = true;
   std::size_t i = 0;
-  for (const core::PendingMigration& pm : queue) {
-    if (pm.target != ref_targets[i++]) {
+  for (const core::PendingMigration& pm : plane.queue()) {
+    if (pm.target != oracle_targets[i++]) {
       row.exact = false;
       break;
     }
   }
-
-  t0 = clock_type::now();
-  index.pass(queue, core::Ordering::Fifo, cfg, snaps, 2, nullptr);
-  row.inc_noop_ms = ms_since(t0);
-
-  // Bursts of fresh enqueues between passes: tail extension. Min of three
-  // rounds — the first append after a cold pass pays a one-time growth of
-  // the exactly-sized pass cache; steady state is what a master's periodic
-  // pass sees.
-  row.inc_burst_ms = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (int b = 0; b < burst; ++b) push_block(queue, &index, next_block++, nodes, rng);
+  for (int r = 0; r < kRepeats; ++r) {
     t0 = clock_type::now();
-    index.pass(queue, core::Ordering::Fifo, cfg, snaps, 3 + round, nullptr);
+    plane.retarget(snaps, 2 + r);
     const double ms = ms_since(t0);
-    if (round == 0 || ms < row.inc_burst_ms) row.inc_burst_ms = ms;
+    if (r == 0 || ms < row.pass_ms) row.pass_ms = ms;
   }
-
-  // Bind + requeue churn near the tail: erase entries, re-add them with an
-  // avoid entry (the failover path), pass re-scores the dirty suffix.
-  std::vector<core::PendingMigration> requeued;
-  requeued.reserve(static_cast<std::size_t>(churn));
-  {
-    auto it = queue.end();
-    for (int c = 0; c < churn; ++c) --it;
-    while (it != queue.end()) {
-      core::PendingMigration pm = *it;
-      const BlockId block = pm.block;
-      it = queue.erase(it);
-      index.note_erase(queue, block);
-      pm.avoid.clear();
-      if (!pm.replicas.empty()) pm.avoid.push_back(pm.replicas.front());
-      pm.target = NodeId::invalid();
-      requeued.push_back(std::move(pm));
-    }
-  }
-  for (core::PendingMigration& pm : requeued) {
-    const BlockId block = pm.block;
-    queue.push(std::move(pm));
-    index.note_append(queue, block);
-  }
-  t0 = clock_type::now();
-  index.pass(queue, core::Ordering::Fifo, cfg, snaps, 4, nullptr);
-  row.inc_requeue_ms = ms_since(t0);
-
   return row;
 }
 
 }  // namespace
 
 int main() {
-  bench::print_header(
-      "fig12: retargeting pass latency, 8 -> 10k nodes",
-      "incremental per-pass latency stays near-flat in cluster size while the "
-      "full sweep pays the whole pending queue");
+  bench::print_header("fig12: retargeting pass latency, 8 -> 10k nodes",
+                      "one Algorithm 1 pass over the whole pending queue, target-exact "
+                      "against the reference formulation at every cluster size");
 
   const int pending = bench::smoke_scaled(2'000'000, 20'000);
-  const int burst = bench::smoke_scaled(1000, 200);
-  const int churn = bench::smoke_scaled(500, 50);
   const std::vector<int> sweep = bench::smoke_mode()
                                      ? std::vector<int>{8, 32, 128}
                                      : std::vector<int>{8, 64, 512, 2048, 10'000};
 
   std::vector<Row> rows;
   for (int nodes : sweep) {
-    rows.push_back(run_scale(nodes, pending, burst, churn));
+    rows.push_back(run_scale(nodes, pending));
     std::cout << "  measured " << nodes << " nodes\n";
   }
 
-  TextTable table({"nodes", "ref full (ms)", "shard8 cold (ms)", "inc cold (ms)",
-                   "inc noop (ms)", "inc burst (ms)", "inc requeue (ms)", "exact"});
+  TextTable table({"nodes", "oracle (ms)", "pass cold (ms)", "pass (ms)", "exact"});
   for (const Row& r : rows) {
-    table.add_row({std::to_string(r.nodes), TextTable::num(r.ref_full_ms, 2),
-                   TextTable::num(r.shard8_cold_ms, 2), TextTable::num(r.inc_cold_ms, 2),
-                   TextTable::num(r.inc_noop_ms, 3), TextTable::num(r.inc_burst_ms, 3),
-                   TextTable::num(r.inc_requeue_ms, 3), r.exact ? "yes" : "NO"});
+    table.add_row({std::to_string(r.nodes), TextTable::num(r.oracle_ms, 2),
+                   TextTable::num(r.pass_cold_ms, 2), TextTable::num(r.pass_ms, 2),
+                   r.exact ? "yes" : "NO"});
   }
   table.print(std::cout);
-  std::cout << "\n(" << pending << " pending blocks; burst = " << burst
-            << " fresh enqueues; requeue churn = " << churn << " tail entries)\n\n";
+  std::cout << "\n(" << pending << " pending blocks; oracle and pass are best of " << kRepeats
+            << ")\n\n";
 
   std::ofstream json("BENCH_retarget.json");
-  json << "{\"bench\":\"retarget_scale\",\"pending\":" << pending << ",\"burst\":" << burst
-       << ",\"churn\":" << churn << ",\"sweep\":[";
+  json << "{\"bench\":\"retarget_scale\",\"pending\":" << pending << ",\"sweep\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    json << (i ? "," : "") << "{\"nodes\":" << r.nodes << ",\"ref_full_ms\":" << r.ref_full_ms
-         << ",\"shard8_cold_ms\":" << r.shard8_cold_ms << ",\"inc_cold_ms\":" << r.inc_cold_ms
-         << ",\"inc_noop_ms\":" << r.inc_noop_ms << ",\"inc_burst_ms\":" << r.inc_burst_ms
-         << ",\"inc_requeue_ms\":" << r.inc_requeue_ms
+    json << (i ? "," : "") << "{\"nodes\":" << r.nodes << ",\"oracle_ms\":" << r.oracle_ms
+         << ",\"pass_cold_ms\":" << r.pass_cold_ms << ",\"pass_ms\":" << r.pass_ms
          << ",\"exact\":" << (r.exact ? "true" : "false") << "}";
   }
   json << "]}\n";
   std::cout << "wrote BENCH_retarget.json\n\n";
 
-  bool all_exact = true;
-  for (const Row& r : rows) all_exact &= r.exact;
+  const bool all_exact =
+      std::all_of(rows.begin(), rows.end(), [](const Row& r) { return r.exact; });
   bench::print_shape_check(all_exact,
-                           "cold incremental pass (1 shard) is target-exact vs the reference "
-                           "sweep at every cluster size");
-
-  const Row& smallest = rows.front();
-  const Row& largest = rows.back();
-  // Near-flat: the steady-state burst pass may not grow with node count the
-  // way the full sweep's absolute cost dwarfs it. Generous noise floor —
-  // these passes are sub-millisecond against multi-hundred-ms sweeps.
-  const double burst_growth = largest.inc_burst_ms / std::max(smallest.inc_burst_ms, 1e-3);
-  const double sweep_growth =
-      static_cast<double>(largest.nodes) / static_cast<double>(smallest.nodes);
-  bench::print_shape_check(burst_growth < sweep_growth,
-                           "burst-pass latency grows sub-linearly in node count (x" +
-                               TextTable::num(burst_growth, 1) + " over a x" +
-                               TextTable::num(sweep_growth, 0) + " node sweep)");
-  // At full scale (millions pending) the steady-state pass must beat the
-  // sweep by an order of magnitude; the 20k-block smoke queue is too small
-  // for that gap, so smoke only requires "cheaper than the sweep".
-  const double required_gain = bench::smoke_scaled(10.0, 1.0);
-  bench::print_shape_check(
-      largest.inc_burst_ms < largest.ref_full_ms / required_gain,
-      "steady-state incremental pass beats the full sweep by >" +
-          TextTable::num(required_gain, 0) + "x at max scale");
+                           "control-plane pass is target-exact vs the assign_targets oracle "
+                           "at every cluster size");
   return 0;
 }

@@ -10,7 +10,6 @@ ControlPlane::Enqueued ControlPlane::enqueue(JobId job, EvictionMode mode, Block
   if (PendingMigration* pm = queue_.lookup(block)) {
     pm->jobs[job] = mode;
     merge_avoid(pm->avoid, avoid);
-    index_.note_mutate(block);
     emitter_.enqueue_merged(now, block, job);
     return {pm, false};
   }
@@ -22,7 +21,6 @@ ControlPlane::Enqueued ControlPlane::enqueue(JobId job, EvictionMode mode, Block
   pm.avoid = avoid;
   pm.requested_at = now;
   PendingMigration& entry = queue_.push(std::move(pm));
-  index_.note_append(queue_, block);
   if (config_.binding == Binding::LateAnyReplica) {
     for (auto r = entry.replicas.begin(); r != entry.replicas.end(); ++r) {
       if (!r->valid() || std::find(entry.replicas.begin(), r, *r) != r) continue;
@@ -48,15 +46,8 @@ TargetingStats ControlPlane::retarget(const std::vector<SlaveSnapshot>& snapshot
   const bool trace = emitter_.tracing() &&
                      config_.target_trace == ControlPlaneConfig::TargetTrace::AtRetarget;
   const bool targeted = config_.binding == Binding::LateTargeted;
-  if (config_.retarget.mode == RetargetConfig::Mode::Incremental) {
-    stats = index_.pass(queue_, config_.ordering, config_.retarget, snapshots, now,
-                        trace ? &emitter_ : nullptr);
-    if (targeted) rebuild_target_lists();
-    return stats;
-  }
-  // Reference sweep. Target in the same order binding will consider
-  // entries, so the greedy finish-time accounting matches the eventual
-  // assignment order.
+  // Target in the same order binding will consider entries, so the greedy
+  // finish-time accounting matches the eventual assignment order.
   scorer_.begin(snapshots);
   auto score = [&](PendingMigration& pm) {
     const NodeId before = pm.target;
@@ -102,9 +93,9 @@ PendingQueue::iterator ControlPlane::eligible(NodeId node, const Candidate& c) {
   if (it == queue_.end() || it->seq != c.seq) return queue_.end();
   // The avoid list gates both modes: a LateTargeted entry can carry a
   // stale target pointing at a node that has since failed on it (the
-  // target was assigned before the failure, or by an incremental pass
-  // scoring against a held basis) — binding there anyway would hand the
-  // block back to the replica that just proved unable to serve it.
+  // target was assigned before a job merge grew the avoid list) — binding
+  // there anyway would hand the block back to the replica that just
+  // proved unable to serve it.
   if (std::find(it->avoid.begin(), it->avoid.end(), node) != it->avoid.end()) {
     return queue_.end();
   }
@@ -127,7 +118,6 @@ BoundMigration ControlPlane::bind_entry(PendingQueue::iterator it, NodeId node,
   emitter_.bind(now, bm.block, node, now - bm.requested_at);
   binding_log_.emplace_back(bm.block, node);
   queue_.erase(it);
-  index_.note_erase(queue_, bm.block);
   return bm;
 }
 

@@ -30,7 +30,6 @@
 #include "core/pending_queue.h"
 #include "core/queue_depth.h"
 #include "core/replica_selector.h"
-#include "core/retarget_index.h"
 #include "core/retry_policy.h"
 #include "core/tier_policy.h"
 #include "core/types.h"
@@ -47,11 +46,6 @@ struct ControlPlaneConfig {
   /// nondeterministic across runs).
   enum class TargetTrace { AtRetarget, AtBind };
   TargetTrace target_trace = TargetTrace::AtRetarget;
-  /// Algorithm 1 pass engine: the reference full sweep, or the incremental
-  /// RetargetIndex (cached-prefix replay, dirty-suffix re-score, optional
-  /// block-striped shard parallelism). At zero thresholds and one shard
-  /// the two produce identical targets; the differential tests assert it.
-  RetargetConfig retarget;
   /// Slave local-queue depth (§III-B). The control plane itself never
   /// binds more than a slave's advertised free slots; both backend drivers
   /// derive those slots from this shared policy.
@@ -80,8 +74,6 @@ class ControlPlane {
   PendingQueue& queue() { return queue_; }
   const PendingQueue& queue() const { return queue_; }
   const ControlPlaneConfig& config() const { return config_; }
-  const RetargetIndex& retarget_index() const { return index_; }
-  RetargetIndex& retarget_index() { return index_; }
 
   struct Enqueued {
     PendingMigration* entry = nullptr;
@@ -165,7 +157,6 @@ class ControlPlane {
 
   ControlPlaneConfig config_;
   PendingQueue queue_;
-  RetargetIndex index_;
   TargetScorer scorer_;
   std::vector<BindList> bind_lists_;  // by node value
   LifecycleEmitter emitter_;

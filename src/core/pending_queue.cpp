@@ -19,8 +19,7 @@ PendingMigration* PendingQueue::lookup(BlockId block) {
 
 PendingMigration& PendingQueue::push(PendingMigration pm) {
   DYRS_CHECK_MSG(!contains(pm.block), "block " << pm.block << " already pending");
-  ++mutations_;
-  pm.seq = mutations_;  // pushes bump the count, so it is unique per push
+  pm.seq = ++pushes_;
   list_.push_back(std::move(pm));
   auto it = std::prev(list_.end());
   index_[it->block] = it;
@@ -28,7 +27,6 @@ PendingMigration& PendingQueue::push(PendingMigration pm) {
 }
 
 PendingQueue::iterator PendingQueue::erase(iterator it) {
-  ++mutations_;
   index_.erase(it->block);
   return list_.erase(it);
 }
@@ -36,14 +34,12 @@ PendingQueue::iterator PendingQueue::erase(iterator it) {
 bool PendingQueue::erase(BlockId block) {
   auto it = index_.find(block);
   if (it == index_.end()) return false;
-  ++mutations_;
   list_.erase(it->second);
   index_.erase(it);
   return true;
 }
 
 void PendingQueue::clear() {
-  if (!list_.empty()) ++mutations_;
   list_.clear();
   index_.clear();
 }

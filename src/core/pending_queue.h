@@ -50,12 +50,6 @@ class PendingQueue {
   bool erase(BlockId block);
   void clear();
 
-  /// Monotonic count of structural mutations (push / erase / clear).
-  /// RetargetIndex compares it against the count at its last sync to detect
-  /// queue churn that bypassed the control plane (drivers erase directly on
-  /// cancellation and eviction paths) and fall back to a full re-score.
-  std::uint64_t mutation_count() const { return mutations_; }
-
   /// Entries in binding-consideration order. Fifo is insertion order. For
   /// SmallestJobFirst a job's priority is its outstanding pending bytes;
   /// an entry wanted by several jobs inherits the most urgent (smallest)
@@ -70,7 +64,7 @@ class PendingQueue {
  private:
   List list_;
   std::unordered_map<BlockId, iterator> index_;
-  std::uint64_t mutations_ = 0;
+  std::uint64_t pushes_ = 0;  // stamps each push's seq
 };
 
 }  // namespace dyrs::core

