@@ -1,19 +1,16 @@
 // micro_rt_throughput — sustained drain throughput of the rt exchange.
 //
-// The rt runtime's seed-era exchange serialized every pull and every
-// completion under the master mutex and paid one timer sleep per block in
-// the throttled disk — fine for protocol demos, hopeless for throughput.
-// This bench drains a backlog of small blocks through three exchange
-// configurations and reports sustained blocks/s plus the p99 slave pull
-// latency:
+// The rt exchange is one engine with two settable values: the settlement
+// shard count and the slaves' drain-batch size. This bench drains a
+// backlog of small blocks through three configurations of it and reports
+// sustained blocks/s plus the p99 slave pull latency:
 //
-//   reference   Mode::Reference, drain_batch 1  — the seed's shape: one
-//               mutex round-trip per completion, one timer sleep per read
-//   batched     Mode::Reference, drain_batch 16 — token-bucket batched
-//               reads and coalesced completion reports, still single-lock
-//   sharded     Mode::Sharded (16 shards), drain_batch 16 — the full
-//               throughput path: settlement under per-shard locks only,
-//               lock-free completion counters
+//   per-block   shards 1, drain_batch 1  — one settlement lock, one timer
+//               sleep and one completion report per block
+//   batched     shards 1, drain_batch 16 — token-bucket batched reads and
+//               coalesced completion reports, still one settlement lock
+//   sharded     shards 8, drain_batch 16 — the full throughput path:
+//               settlement striped over eight shard locks
 //
 // swept over slave count x local queue depth. Blocks are deliberately tiny
 // (4 KiB at 2 GiB/s, ~2us of token time) so the exchange engine — not the
@@ -27,7 +24,7 @@
 // equivalence buys. Results go to stdout and BENCH_rt_throughput.json.
 //
 //   micro_rt_throughput [--trace FILE]   also run one small traced config
-//                                        (sharded) and write its merged
+//                                        (batches of 8) and write its merged
 //                                        JSONL to FILE — CI runs this twice
 //                                        and diffs `dyrsctl trace
 //                                        --span-seq`, proving the
@@ -58,7 +55,7 @@ namespace {
 using clock_type = std::chrono::steady_clock;
 using Exchange = rt::RtMaster::Options::ExchangeConfig;
 
-struct ModeSpec {
+struct ConfigSpec {
   const char* name;
   Exchange exchange;
 };
@@ -73,7 +70,7 @@ struct Result {
 /// Drains `blocks` 4 KiB migrations (every node a replica, so targeting
 /// never starves a slave) through one exchange configuration and measures
 /// wall time from migrate() to idle.
-Result run(const ModeSpec& mode, int slaves, int depth, int blocks) {
+Result run(const ConfigSpec& config, int slaves, int depth, int blocks) {
   obs::MetricsRegistry registry;
 
   rt::RtMaster::Options options;
@@ -86,7 +83,7 @@ Result run(const ModeSpec& mode, int slaves, int depth, int blocks) {
     slave.reference_block = 64 * kKiB;
     options.slaves.push_back(slave);
   }
-  options.exchange = mode.exchange;
+  options.exchange = config.exchange;
   options.retarget_interval = 10min;  // no mid-run Algorithm 1 passes
   options.obs = obs::ObsContext(&registry, nullptr);
   rt::RtMaster master(std::move(options));
@@ -138,7 +135,7 @@ void write_trace(const std::string& path) {
     slave.reference_block = mib(1);
     options.slaves.push_back(slave);
   }
-  options.exchange = {.mode = Exchange::Mode::Sharded, .shards = 8, .drain_batch = 8};
+  options.exchange = {.shards = 8, .drain_batch = 8};
   options.retarget_interval = 60s;
   options.obs = obs::ObsContext(&registry, &tracer);
   rt::RtMaster master(std::move(options));
@@ -184,47 +181,47 @@ int main(int argc, char** argv) {
   }
 
   bench::print_header("micro: rt exchange sustained throughput",
-                      "sharded/batched exchange vs the single-lock per-block reference");
+                      "sharded/batched exchange vs the single-lock per-block configuration");
 
   const int blocks = bench::smoke_scaled(24'000, 2'400);
-  const ModeSpec modes[] = {
-      {"reference", {.mode = Exchange::Mode::Reference, .drain_batch = 1}},
-      {"batched", {.mode = Exchange::Mode::Reference, .drain_batch = 16}},
-      {"sharded", {.mode = Exchange::Mode::Sharded, .shards = 16, .drain_batch = 16}},
+  const ConfigSpec configs[] = {
+      {"per-block", {.shards = 1, .drain_batch = 1}},
+      {"batched", {.shards = 1, .drain_batch = 16}},
+      {"sharded", {.shards = 8, .drain_batch = 16}},
   };
   const int slave_counts[] = {4, 8, 16};
   const int depths[] = {8, 32};
 
-  TextTable table({"mode", "slaves", "depth", "wall s", "blocks/s", "p99 pull us"});
+  TextTable table({"config", "slaves", "depth", "wall s", "blocks/s", "p99 pull us"});
   std::ofstream json("BENCH_rt_throughput.json");
   json << "{\"bench\":\"rt_throughput\",\"smoke\":" << (bench::smoke_mode() ? "true" : "false")
        << ",\"blocks\":" << blocks << ",\"rows\":[";
   bool all_drained = true;
   bool first_row = true;
-  double ref_16 = 0, bat_16 = 0, shd_16 = 0;  // blocks/s at 16 slaves, depth 32
-  for (const ModeSpec& mode : modes) {
+  double one_16 = 0, bat_16 = 0, shd_16 = 0;  // blocks/s at 16 slaves, depth 32
+  for (const ConfigSpec& config : configs) {
     for (int slaves : slave_counts) {
       for (int depth : depths) {
-        const Result r = run(mode, slaves, depth, blocks);
+        const Result r = run(config, slaves, depth, blocks);
         all_drained = all_drained && r.drained;
-        table.add_row({mode.name, std::to_string(slaves), std::to_string(depth),
+        table.add_row({config.name, std::to_string(slaves), std::to_string(depth),
                        TextTable::num(r.wall_s, 3), TextTable::num(r.blocks_per_s, 0),
                        TextTable::num(r.p99_pull_us, 1)});
-        json << (first_row ? "" : ",") << "{\"mode\":\"" << mode.name
+        json << (first_row ? "" : ",") << "{\"config\":\"" << config.name
              << "\",\"slaves\":" << slaves << ",\"depth\":" << depth << ",\"blocks\":" << blocks
              << ",\"wall_s\":" << r.wall_s << ",\"blocks_per_s\":" << r.blocks_per_s
              << ",\"p99_pull_us\":" << r.p99_pull_us << "}";
         first_row = false;
         if (slaves == 16 && depth == 32) {
-          if (!std::strcmp(mode.name, "reference")) ref_16 = r.blocks_per_s;
-          if (!std::strcmp(mode.name, "batched")) bat_16 = r.blocks_per_s;
-          if (!std::strcmp(mode.name, "sharded")) shd_16 = r.blocks_per_s;
+          if (!std::strcmp(config.name, "per-block")) one_16 = r.blocks_per_s;
+          if (!std::strcmp(config.name, "batched")) bat_16 = r.blocks_per_s;
+          if (!std::strcmp(config.name, "sharded")) shd_16 = r.blocks_per_s;
         }
       }
     }
   }
-  const double speedup_batched = ref_16 > 0 ? bat_16 / ref_16 : 0;
-  const double speedup_sharded = ref_16 > 0 ? shd_16 / ref_16 : 0;
+  const double speedup_batched = one_16 > 0 ? bat_16 / one_16 : 0;
+  const double speedup_sharded = one_16 > 0 ? shd_16 / one_16 : 0;
   json << "],\"speedup_batched_16\":" << speedup_batched
        << ",\"speedup_sharded_16\":" << speedup_sharded << "}\n";
 
@@ -232,7 +229,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(" << blocks << " x 4KiB blocks per configuration; speedup at 16 slaves, "
             << "depth 32:\n batched " << TextTable::num(speedup_batched, 2) << "x, sharded "
             << TextTable::num(speedup_sharded, 2)
-            << "x over the single-lock per-block reference)\n\n";
+            << "x over the single-lock per-block configuration)\n\n";
   bench::maybe_dump_csv("micro_rt_throughput", table);
   std::cout << "wrote BENCH_rt_throughput.json\n\n";
 
@@ -245,7 +242,7 @@ int main(int argc, char** argv) {
   const double bar = bench::smoke_mode() ? 1.2 : 3.0;
   bench::print_shape_check(speedup_sharded >= bar,
                            "sharded exchange >= " + TextTable::num(bar, 1) +
-                               "x reference blocks/s at 16 slaves (measured " +
+                               "x per-block blocks/s at 16 slaves (measured " +
                                TextTable::num(speedup_sharded, 2) + "x)");
   return all_drained && speedup_sharded >= bar ? 0 : 1;
 }

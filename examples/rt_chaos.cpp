@@ -25,14 +25,16 @@
 // profile with open-lifecycle flagging on.
 //
 //   rt_chaos [--seed N] [--trace FILE] [--spans FILE]
-//            [--exchange reference|sharded]
+//            [--exchange sharded]
 //     --trace    write run 2's merged JSONL trace to FILE
 //     --spans    write run 2's settlement projection to FILE (one
 //                "block: span" line per block; CI diffs two same-seed runs)
-//     --exchange master<->slave exchange engine; `sharded` runs every phase
-//                on the throughput path (sharded settlement, drain batches
-//                of 4) — batched completions racing phase A/C reclaim
-//                windows must still settle exactly once per member
+//     --exchange exchange configuration; without it the master's default
+//                (one settlement shard, batches of one). `sharded` runs
+//                every phase on the throughput path (eight settlement
+//                shards, drain batches of 4) — batched completions racing
+//                phase A/C reclaim windows must still settle exactly once
+//                per member
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -87,17 +89,13 @@ std::vector<rt::RtBlock> single_replica(int first_id, int count, int node, Bytes
 
 /// One full chaos scenario; returns the merged trace of all four phases.
 std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBufferSink& sink,
-                                      bool sharded) {
+                                      const rt::RtMaster::Options::ExchangeConfig& exchange) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   tracer.set_sink(&sink);
 
   rt::RtMaster::Options options;
-  if (sharded) {
-    options.exchange.mode = rt::RtMaster::Options::ExchangeConfig::Mode::Sharded;
-    options.exchange.shards = 8;
-    options.exchange.drain_batch = 4;
-  }
+  options.exchange = exchange;
   for (int n = 0; n < 3; ++n) {
     rt::RtSlave::Options slave;
     slave.node = NodeId(n);
@@ -246,7 +244,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::string trace_path;
   std::string spans_path;
-  bool sharded = false;
+  rt::RtMaster::Options::ExchangeConfig exchange;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
       seed = std::stoull(argv[++i]);
@@ -255,23 +253,23 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--spans") && i + 1 < argc) {
       spans_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--exchange") && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode != "reference" && mode != "sharded") {
-        std::cerr << "unknown exchange mode: " << mode << "\n";
+      const std::string name = argv[++i];
+      if (name != "sharded") {
+        std::cerr << "unknown exchange configuration: " << name << "\n";
         return 2;
       }
-      sharded = mode == "sharded";
+      exchange = {.shards = 8, .drain_batch = 4};
     } else {
       std::cerr << "usage: rt_chaos [--seed N] [--trace FILE] [--spans FILE]"
-                   " [--exchange reference|sharded]\n";
+                   " [--exchange sharded]\n";
       return 2;
     }
   }
 
   obs::ThreadLocalBufferSink sink1;
   obs::ThreadLocalBufferSink sink2;
-  const std::vector<obs::TraceEvent> trace1 = run_once(seed, sink1, sharded);
-  const std::vector<obs::TraceEvent> trace2 = run_once(seed, sink2, sharded);
+  const std::vector<obs::TraceEvent> trace1 = run_once(seed, sink1, exchange);
+  const std::vector<obs::TraceEvent> trace2 = run_once(seed, sink2, exchange);
 
   const auto set1 = settlement(trace1);
   const auto set2 = settlement(trace2);

@@ -9,12 +9,13 @@
 // settle). Exits 0 only if both runs agree and the oracle passes.
 //
 //   rt_soak [--trace FILE]             also write run 2's merged JSONL to FILE
-//           [--exchange reference|sharded]  master<->slave exchange engine
+//           [--exchange sharded]  exchange configuration
 //
-// `--exchange sharded` runs the same scenario on the throughput path
-// (sharded settlement, drain batches of 4): the per-block signatures must
-// be identical to the reference engine's — the merge key makes batches
-// invisible — so CI diffs the two span sequences directly.
+// Without `--exchange` the master runs its default exchange configuration
+// (one settlement shard, batches of one); `--exchange sharded` runs the
+// same scenario with eight shards and drain batches of 4. The per-block
+// signatures must be identical across both — the merge key makes shards
+// and batches invisible — so CI diffs the two span sequences directly.
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -41,17 +42,14 @@ constexpr int kSlowBlocks = 8;   // pinned to node 2; 5 of them cancelled
 /// One soak round: 3 slaves (node 2 crippled), 32 single-replica block
 /// migrations, 5 missed-read cancellations racing the slow slave's pulls,
 /// and a mid-run bandwidth degradation on node 0. Returns the merged trace.
-std::vector<obs::TraceEvent> run_once(obs::ThreadLocalBufferSink& sink, bool sharded) {
+std::vector<obs::TraceEvent> run_once(obs::ThreadLocalBufferSink& sink,
+                                      const rt::RtMaster::Options::ExchangeConfig& exchange) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   tracer.set_sink(&sink);
 
   rt::RtMaster::Options options;
-  if (sharded) {
-    options.exchange.mode = rt::RtMaster::Options::ExchangeConfig::Mode::Sharded;
-    options.exchange.shards = 8;
-    options.exchange.drain_batch = 4;
-  }
+  options.exchange = exchange;
   for (int n = 0; n < 3; ++n) {
     rt::RtSlave::Options slave;
     slave.node = NodeId(n);
@@ -130,27 +128,27 @@ std::map<std::int64_t, std::string> signatures(const std::vector<obs::TraceEvent
 
 int main(int argc, char** argv) {
   std::string trace_path;
-  bool sharded = false;
+  rt::RtMaster::Options::ExchangeConfig exchange;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--exchange") && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode != "reference" && mode != "sharded") {
-        std::cerr << "unknown exchange mode: " << mode << "\n";
+      const std::string name = argv[++i];
+      if (name != "sharded") {
+        std::cerr << "unknown exchange configuration: " << name << "\n";
         return 2;
       }
-      sharded = mode == "sharded";
+      exchange = {.shards = 8, .drain_batch = 4};
     } else {
-      std::cerr << "usage: rt_soak [--trace FILE] [--exchange reference|sharded]\n";
+      std::cerr << "usage: rt_soak [--trace FILE] [--exchange sharded]\n";
       return 2;
     }
   }
 
   obs::ThreadLocalBufferSink sink1;
   obs::ThreadLocalBufferSink sink2;
-  const std::vector<obs::TraceEvent> trace1 = run_once(sink1, sharded);
-  const std::vector<obs::TraceEvent> trace2 = run_once(sink2, sharded);
+  const std::vector<obs::TraceEvent> trace1 = run_once(sink1, exchange);
+  const std::vector<obs::TraceEvent> trace2 = run_once(sink2, exchange);
 
   const auto sig1 = signatures(trace1);
   const auto sig2 = signatures(trace2);

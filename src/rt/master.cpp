@@ -22,12 +22,8 @@ RtMaster::RtMaster(Options options)
           .tier = options_.tier}) {
   DYRS_CHECK(!options_.slaves.empty());
   // Settlement shards exist before any worker can pull; the vector is
-  // never resized afterwards. Reference mode is a single shard that is
-  // only ever touched with mu_ also held.
-  const int shard_count =
-      options_.exchange.mode == Options::ExchangeConfig::Mode::Sharded
-          ? std::max(1, options_.exchange.shards)
-          : 1;
+  // never resized afterwards.
+  const int shard_count = std::max(1, options_.exchange.shards);
   shards_.reserve(static_cast<std::size_t>(shard_count));
   for (int i = 0; i < shard_count; ++i) shards_.push_back(std::make_unique<SettleShard>());
   ctr_completed_ = options_.obs.counter("rt.migrations.completed");
@@ -38,10 +34,10 @@ RtMaster::RtMaster(Options options)
   ctr_nodes_dead_ = options_.obs.counter("rt.nodes.declared_dead");
   ctr_nodes_rejoined_ = options_.obs.counter("rt.nodes.rejoined");
   // Master-lane lifecycle events (tid 0) stamp a lock-free tseq; causally
-  // ordered same-block emissions synchronize through the block's shard (or
-  // mu_), so their tseqs respect the lifecycle order. The cycle comes from
-  // the per-block counter, or from the thread-local override when settling
-  // an older cycle's migration.
+  // ordered same-block emissions synchronize through the block's shard, so
+  // their tseqs respect the lifecycle order. The cycle comes from the
+  // per-block counter, or from the thread-local override when settling an
+  // older cycle's migration.
   plane_.set_emitter(core::LifecycleEmitter(
       options_.obs, [this](obs::LifecycleRecord& r, int rank) {
         const std::uint64_t cycle =
@@ -410,13 +406,6 @@ void RtMaster::settle_outstanding(long n) {
 
 void RtMaster::on_complete_batch(std::vector<RtMigrationDone> dones) {
   if (dones.empty()) return;
-  // Reference mode serializes the entire settlement under the master
-  // mutex — the seed's per-block shape, kept honest so the equivalence
-  // tests compare against a genuinely single-lock baseline.
-  std::unique_lock<std::mutex> ref_lock;
-  if (options_.exchange.mode == Options::ExchangeConfig::Mode::Reference) {
-    ref_lock = std::unique_lock(mu_);
-  }
   std::vector<core::CompletionRecord> settled;
   if (tracing()) settled.reserve(dones.size());
   long n = 0;
@@ -456,12 +445,7 @@ void RtMaster::on_complete_batch(std::vector<RtMigrationDone> dones) {
         settled, [](const core::CompletionRecord& r) { stamp_cycle_ = r.cycle; });
     stamp_cycle_ = 0;
   }
-  if (n == 0) return;
-  if (ref_lock.owns_lock()) {
-    if (outstanding_.fetch_sub(n, std::memory_order_acq_rel) == n) idle_cv_.notify_all();
-  } else {
-    settle_outstanding(n);
-  }
+  if (n > 0) settle_outstanding(n);
 }
 
 void RtMaster::on_failed(NodeId node, RtMigration mig) {

@@ -5,11 +5,13 @@
 // thread off the pull path (§III-D), and the policy state (pending queue,
 // binding log, retarget engine) is guarded by the master mutex. Settlement
 // state — the bound registry, per-block cycle counters and per-job
-// accounting — shards by block id (ExchangeConfig::Mode::Sharded,
-// `block % shards`), with the completion counters lock-free atomics, so
-// batched completion reports and the `completed*` accessors stay off the
-// pull path. The single-lock reference path is kept behind an Options
-// knob, and bench/micro_rt_throughput measures one against the other.
+// accounting — shards by block id (`block % shards`) and settles under the
+// shard locks only, with the completion counters lock-free atomics, so
+// completion reports and the `completed*` accessors stay off the pull
+// path. One exchange engine, two settable values (ExchangeConfig): the
+// shard count and the slaves' drain-batch size; `shards = 1` is the
+// single-lock settlement shape, and bench/micro_rt_throughput measures the
+// configurations against each other.
 //
 // The master is the *rt backend driver* of the shared migration control
 // plane (src/core): policy decisions (pending ordering, Algorithm 1
@@ -57,6 +59,8 @@ class RtMaster {
   /// heartbeats resume).
   enum class NodeState { Alive, Suspect, Dead };
 
+  /// Members without a default value spell `{}`, so designated
+  /// initializers may omit any of them without a missing-field warning.
   struct Options {
     std::vector<RtSlave::Options> slaves;
     std::chrono::milliseconds retarget_interval{5};
@@ -65,29 +69,27 @@ class RtMaster {
     /// Slave queue-depth policy (§III-B), forwarded to every slave whose
     /// options left `queue_capacity` 0 — the same knob the sim backend
     /// reads from its ControlPlaneConfig.
-    core::QueueDepthPolicy queue_depth;
-    /// Master<->slave exchange engine. Reference keeps the seed's shape:
-    /// per-block drain cadence and every settlement serialized under the
-    /// master mutex. Sharded stripes the settlement state (bound registry,
-    /// cycle counters, per-job accounting) by block id (`block % shards`)
-    /// and settles batched completion reports under the shard locks only,
-    /// with the completion counters lock-free. The two modes produce
-    /// identical settlement projections, accounting and per-node binding
-    /// logs (tests/rt/rt_batch_equivalence_test); the reference path
-    /// exists so that claim stays testable.
+    core::QueueDepthPolicy queue_depth{};
+    /// Master<->slave exchange engine. Settlement state (bound registry,
+    /// cycle counters, per-job accounting) is striped by block id
+    /// (`block % shards`) and settles under the shard locks only, never
+    /// under the master mutex; the completion counters are lock-free.
+    /// Every configuration produces identical settlement projections,
+    /// accounting and per-node binding logs
+    /// (tests/rt/rt_batch_equivalence_test).
     struct ExchangeConfig {
-      enum class Mode { Reference, Sharded };
-      Mode mode = Mode::Reference;
-      /// Settlement shard count (Sharded mode; Reference always uses 1).
-      int shards = 8;
+      /// Settlement shard count (values below 1 mean 1). One shard measured
+      /// ~2% faster than eight on three slaves at the per-block cadence;
+      /// bench/micro_rt_throughput compares them at 16 slaves.
+      int shards = 1;
       /// Drain-batch size forwarded to every slave that left its own
       /// `drain_batch` at 1: how many migrations a slave reads per worker
       /// cycle as one token-bucket submission, coalescing their
-      /// completions into one on_complete_batch. 1 keeps the per-block
+      /// completions into one on_complete_batch. 1 is the per-block
       /// cadence.
       int drain_batch = 1;
     };
-    ExchangeConfig exchange;
+    ExchangeConfig exchange{};
     /// Master-side failure detection. Slaves publish wall-clock heartbeats
     /// (every worker-loop iteration and every disk slice); when enabled, a
     /// monitor thread applies a timeout -> suspicion -> declared-dead state
@@ -99,15 +101,15 @@ class RtMaster {
     /// with the sim backend's ControlPlaneConfig); the alias keeps every
     /// existing `RtMaster::Options::FailureDetection` spelling working.
     using FailureDetection = core::FailureDetection;
-    FailureDetection failure_detection;
+    FailureDetection failure_detection{};
     /// Local retry budget for transient read failures, forwarded to every
     /// slave whose options left `retry` at the defaults — the same shared
     /// policy core the sim backend reads from its ControlPlaneConfig.
-    core::RetryPolicy retry;
+    core::RetryPolicy retry{};
     /// Storage-tier admission/eviction policy, forwarded to every slave
     /// whose options left `tier` at the defaults. Defaults preserve the
     /// single-tier behaviour (admit to memory, refuse on pressure).
-    core::TierPolicy tier;
+    core::TierPolicy tier{};
     /// Observability handle shared by the master and every slave. The
     /// atomic counters (rt.migrations.*, rt.retarget.passes, rt.pulls) are
     /// safe to bump from worker threads. Tracing additionally requires a
@@ -115,7 +117,7 @@ class RtMaster {
     /// event carries a stable merge key (block, lseq, tid, tseq) so
     /// merge_thread_buffers() restores a canonical per-block order that is
     /// identical across runs even though wall-clock interleavings differ.
-    obs::ObsContext obs;
+    obs::ObsContext obs{};
   };
 
   explicit RtMaster(Options options);
@@ -171,13 +173,11 @@ class RtMaster {
   void shutdown();
 
  private:
-  /// Settlement state striped by block id (`block % shards_.size()`). In
-  /// Reference mode there is exactly one shard and every access
-  /// additionally happens under mu_; in Sharded mode the completion path
-  /// touches only the owning shard's lock. Lock order: mu_ may be held
-  /// when taking a shard lock, never the reverse, and no emission happens
-  /// while a shard lock is held (the master stamper itself reads a shard
-  /// for the cycle).
+  /// Settlement state striped by block id (`block % shards_.size()`). The
+  /// completion path touches only the owning shard's lock. Lock order: mu_
+  /// may be held when taking a shard lock, never the reverse, and no
+  /// emission happens while a shard lock is held (the master stamper itself
+  /// reads a shard for the cycle).
   struct BoundRec;
   struct SettleShard;
 
@@ -185,8 +185,8 @@ class RtMaster {
   /// Settles a drain cycle's coalesced completion reports. Zombie
   /// suppression is keyed on each batch *member's* (block, node, cycle) —
   /// a member whose binding was reclaimed drops individually while its
-  /// batch-mates settle. Reference mode wraps the whole call in mu_; the
-  /// per-block cadence is simply a batch of one.
+  /// batch-mates settle. Never takes mu_; the per-block cadence is simply
+  /// a batch of one.
   void on_complete_batch(std::vector<RtMigrationDone> dones);
   /// A migration exhausted its local retry budget at `node`: abort that
   /// lifecycle and requeue the block with the node on its avoid list.
@@ -249,8 +249,8 @@ class RtMaster {
   std::condition_variable idle_cv_;
   core::ControlPlane plane_;          // pending state + policy; under mu_
   std::vector<NodeId> node_order_;    // deterministic snapshot order; fixed at ctor
-  /// Settlement shards; sized at construction (1 in Reference mode) and
-  /// never resized, so shard_for needs no lock of its own.
+  /// Settlement shards; sized at construction and never resized, so
+  /// shard_for needs no lock of its own.
   std::vector<std::unique_ptr<SettleShard>> shards_;
   /// Lifecycle counters, lock-free so batched settlement and the
   /// `completed*` accessors never touch mu_. outstanding_ = queued at

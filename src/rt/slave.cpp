@@ -1,5 +1,6 @@
 #include "rt/slave.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -92,36 +93,26 @@ bool RtSlave::cancel(BlockId block) {
   bool found = false;
   {
     std::lock_guard lock(mu_);
-    if (active_block_ == block) {
-      active_cancelled_.store(true, std::memory_order_relaxed);
-      // Mark the batch member too (no-op on the per-block cadence) so the
-      // post-drain flush skips it even if the read's final slice races.
-      for (std::size_t i = 0; i < batch_blocks_.size(); ++i) {
-        if (batch_blocks_[i] == block && batch_state_[i] == kBatchActive) {
-          batch_state_[i] = kBatchCancelled;
-        }
+    // A member of the cycle being drained is cancellable until its read
+    // finishes: queued (no token yet, or sleeping out a retry backoff) or
+    // active (dropped at its next slice). One that already finished (Done,
+    // completion pending flush) is not — reporting it cancelled *and*
+    // completed would settle it twice at the master.
+    for (Member& m : members_) {
+      if (m.block == block &&
+          (m.state == MemberState::Queued || m.state == MemberState::Active)) {
+        m.state = MemberState::Cancelled;
+        found = true;
+        break;
       }
-      found = true;
-    } else {
-      // A batch member that has not consumed its first token yet can still
-      // be cancelled individually; one that already finished its read
-      // (kBatchDone, completion pending flush) cannot — reporting it
-      // cancelled *and* completed would settle it twice at the master.
-      for (std::size_t i = 0; i < batch_blocks_.size(); ++i) {
-        if (batch_blocks_[i] == block && batch_state_[i] == kBatchQueued) {
-          batch_state_[i] = kBatchCancelled;
+    }
+    if (!found) {
+      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+        if (it->m.block == block) {
+          queued_bytes_ -= it->m.size;
+          queue_.erase(it);
           found = true;
           break;
-        }
-      }
-      if (!found) {
-        for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-          if (it->m.block == block) {
-            queued_bytes_ -= it->m.size;
-            queue_.erase(it);
-            found = true;
-            break;
-          }
         }
       }
     }
@@ -160,12 +151,9 @@ void RtSlave::crash() {
     std::lock_guard lock(mu_);
     if (crashed_) return;
     crashed_ = true;
-    // Interrupt the active read under the same lock that guards the
-    // worker's pop (which resets the flag): either the worker already
-    // popped — the store lands after its reset and cancels the read — or
-    // it has not, and it will see `crashed_` before starting anything.
-    active_cancelled_.store(true, std::memory_order_relaxed);
   }
+  // The stop request interrupts the active read at its next slice (the
+  // token bucket polls it) and any retry backoff (its wait predicate).
   worker_.request_stop();
   cv_.notify_all();
   if (worker_.joinable()) worker_.join();
@@ -177,10 +165,8 @@ void RtSlave::crash() {
   queued_bytes_ = 0;
   buffers_.clear_all();
   data_.clear();
-  batch_blocks_.clear();
-  batch_state_.clear();
+  members_.clear();
   in_flight_bytes_ = 0;
-  active_block_ = BlockId::invalid();
 }
 
 void RtSlave::restart() {
@@ -196,7 +182,6 @@ void RtSlave::restart() {
                                            .overdue_correction = true});
     poked_ = false;
   }
-  active_cancelled_.store(false, std::memory_order_relaxed);
   beat();
   worker_ = std::jthread([this](std::stop_token st) { worker_loop(st); });
 }
@@ -305,9 +290,9 @@ long RtSlave::permanent_failures() const {
 }
 
 void RtSlave::worker_loop(std::stop_token st) {
+  const auto batch_cap = static_cast<std::size_t>(std::max(1, options_.drain_batch));
   while (!st.stop_requested()) {
     beat();
-    RtMigration next{};
     std::vector<RtMigration> batch;
     {
       std::unique_lock lock(mu_);
@@ -338,154 +323,38 @@ void RtSlave::worker_loop(std::stop_token st) {
                      [&] { return poked_ || st.stop_requested(); });
         continue;
       }
-      if (options_.drain_batch > 1) {
-        // Throughput cadence: drain up to a batch and read it as one
-        // token-bucket submission. Members stay individually cancellable
-        // through batch_blocks_/batch_state_.
-        const auto take = std::min<std::size_t>(
-            static_cast<std::size_t>(options_.drain_batch), queue_.size());
-        batch.reserve(take);
-        Bytes total = 0;
-        for (std::size_t i = 0; i < take; ++i) {
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-          queued_bytes_ -= batch.back().m.size;
-          batch_blocks_.push_back(batch.back().m.block);
-          batch_state_.push_back(kBatchQueued);
-          total += batch.back().m.size;
-        }
-        in_flight_bytes_ = total;
-        active_block_ = BlockId::invalid();
-        active_cancelled_.store(false, std::memory_order_relaxed);
-      } else {
-        next = std::move(queue_.front());
+      // Drain up to a batch and read it as one token-bucket submission.
+      // Members stay individually cancellable through members_.
+      const std::size_t take = std::min(batch_cap, queue_.size());
+      batch.reserve(take);
+      for (std::size_t i = 0; i < take; ++i) {
+        batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
-        queued_bytes_ -= next.m.size;
-        in_flight_bytes_ = next.m.size;
-        active_block_ = next.m.block;
-        active_cancelled_.store(false, std::memory_order_relaxed);
+        queued_bytes_ -= batch.back().m.size;
+        in_flight_bytes_ += batch.back().m.size;
+        members_.push_back({batch.back().m.block, MemberState::Queued});
       }
     }
-    if (!batch.empty()) {
-      drain_batch_run(std::move(batch), st);
-    } else {
-      run_migration(std::move(next), st);
-    }
+    drain(std::move(batch), st);
   }
 }
 
-void RtSlave::run_migration(RtMigration next, const std::stop_token& st) {
-  emit_cycle_ = next.cycle;
-  const BlockId block = next.m.block;
-  const Bytes size = next.m.size;
-  while (true) {
-    emitter_.transfer_start(now_us(), block, options_.node, size, next.m.attempts + 1);
-
-    const auto started = std::chrono::steady_clock::now();
-    // Beat every disk slice: a long read must not look like a dead node.
-    const bool finished = disk_.read(size, &active_cancelled_, [this] { beat(); });
-    const double duration_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-
-    bool failed = false;
-    std::vector<core::BufferManager::Demotion> demoted;
-    {
-      std::lock_guard lock(mu_);
-      // The cancelled flag is re-checked even after a finished read: a
-      // cancel that lands between the read completing and this lock being
-      // reacquired has already returned true to the caller — the master
-      // settled the migration as cancelled — so reporting a completion too
-      // would settle it twice (and drive `outstanding_` negative).
-      if (!finished || active_cancelled_.load(std::memory_order_relaxed)) {
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-        return;  // missed read: learn nothing from it
-      }
-      if (read_fault_hook_ && read_fault_hook_(block)) {
-        failed = true;  // time was spent but no usable data arrived
-      } else {
-        estimator_.on_complete(size, duration_s);
-        if (!next.m.jobs.empty()) admit_settled_locked(next, demoted);
-        ++completed_;
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-      }
-    }
-    if (!demoted.empty()) {
-      process_demotions(demoted);
-      emit_cycle_ = next.cycle;
-    }
-
-    if (!failed) {
-      RtMigrationDone done;
-      done.block = block;
-      done.node = options_.node;
-      done.size = size;
-      done.duration_s = duration_s;
-      done.cycle = next.cycle;
-      done.jobs = next.m.jobs;
-      if (on_complete_) {
-        std::vector<RtMigrationDone> report;
-        report.push_back(std::move(done));
-        on_complete_(std::move(report));
-      }
-      return;
-    }
-
-    ++next.m.attempts;
-    if (options_.retry.exhausted(next.m.attempts)) {
-      {
-        std::lock_guard lock(mu_);
-        ++permanent_failures_;
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-      }
-      emitter_.transfer_failed(now_us(), block, options_.node, next.m.attempts);
-      if (on_failed_) on_failed_(options_.node, std::move(next));
-      return;
-    }
-
-    // Capped exponential backoff on the worker thread, interruptible by
-    // cancel (the migration then settles as cancelled) and by stop. The
-    // block stays "active" so cancel() finds it mid-backoff.
-    const SimDuration delay = options_.retry.backoff_for(next.m.attempts);
-    {
-      std::lock_guard lock(mu_);
-      ++retries_;
-    }
-    emitter_.transfer_retry(now_us(), block, options_.node, next.m.attempts, delay);
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait_for(lock, std::chrono::microseconds(delay), [&] {
-        return st.stop_requested() || active_cancelled_.load(std::memory_order_relaxed);
-      });
-      if (st.stop_requested() || active_cancelled_.load(std::memory_order_relaxed)) {
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-        return;
-      }
-    }
-  }
-}
-
-void RtSlave::drain_batch_run(std::vector<RtMigration> batch, const std::stop_token& st) {
+void RtSlave::drain(std::vector<RtMigration> batch, const std::stop_token& st) {
   const std::size_t n = batch.size();
   std::vector<Bytes> sizes(n);
   for (std::size_t i = 0; i < n; ++i) sizes[i] = batch[i].m.size;
-  std::vector<double> durations(n, 0.0);
+  std::vector<double> service_s(n, 0.0);
 
   disk_.read_batch(
       sizes, /*aborted=*/[&st] { return st.stop_requested(); },
-      // Beat every disk slice: a long batch must not look like a dead node.
+      // Beat every disk slice: a long read must not look like a dead node.
       /*on_slice=*/[this] { beat(); },
       /*on_start=*/
       [&](std::size_t i) {
         {
           std::lock_guard lock(mu_);
-          if (batch_state_[i] == kBatchCancelled) return false;
-          batch_state_[i] = kBatchActive;
-          active_block_ = batch[i].m.block;
-          active_cancelled_.store(false, std::memory_order_relaxed);
+          if (members_[i].state == MemberState::Cancelled) return false;
+          members_[i].state = MemberState::Active;
         }
         emit_cycle_ = batch[i].cycle;
         emitter_.transfer_start(now_us(), batch[i].m.block, options_.node, batch[i].m.size,
@@ -493,21 +362,19 @@ void RtSlave::drain_batch_run(std::vector<RtMigration> batch, const std::stop_to
         return true;
       },
       /*item_cancelled=*/
-      [this] { return active_cancelled_.load(std::memory_order_relaxed); },
-      /*on_done=*/
-      [&](std::size_t i, double service_s) {
+      [this](std::size_t i) {
         std::lock_guard lock(mu_);
-        // Same double-settle protection as the per-block path: a cancel
-        // that raced the final slice already returned true to the caller,
-        // so the member must settle as cancelled, not completed.
-        if (active_cancelled_.load(std::memory_order_relaxed) ||
-            batch_state_[i] == kBatchCancelled) {
-          batch_state_[i] = kBatchCancelled;
-        } else {
-          batch_state_[i] = kBatchDone;
-          durations[i] = service_s;
-        }
-        active_block_ = BlockId::invalid();
+        return members_[i].state == MemberState::Cancelled;
+      },
+      /*on_done=*/
+      [&](std::size_t i, double s) {
+        std::lock_guard lock(mu_);
+        // A cancel that raced the final slice already returned true to the
+        // caller — the master settled the migration as cancelled — so the
+        // member must not also report a completion.
+        if (members_[i].state != MemberState::Active) return;
+        members_[i].state = MemberState::Done;
+        service_s[i] = s;
       });
 
   std::vector<RtMigrationDone> dones;
@@ -515,30 +382,29 @@ void RtSlave::drain_batch_run(std::vector<RtMigration> batch, const std::stop_to
   std::vector<core::BufferManager::Demotion> demoted;
   {
     std::lock_guard lock(mu_);
-    if (crashed_) return;  // crash() already cleared the batch bookkeeping
+    if (crashed_) return;  // crash() clears the bookkeeping once joined
     for (std::size_t i = 0; i < n; ++i) {
-      if (batch_state_[i] != kBatchDone) continue;  // cancelled or abandoned
+      if (members_[i].state != MemberState::Done) continue;  // cancelled or abandoned
       const BlockId block = batch[i].m.block;
       if (read_fault_hook_ && read_fault_hook_(block)) {
-        faulted.push_back(std::move(batch[i]));
+        faulted.push_back(std::move(batch[i]));  // time spent, no usable data
         continue;
       }
-      estimator_.on_complete(batch[i].m.size, durations[i]);
+      // The estimator learns token-bucket service time, not wall time.
+      estimator_.on_complete(batch[i].m.size, service_s[i]);
       if (!batch[i].m.jobs.empty()) admit_settled_locked(batch[i], demoted);
       ++completed_;
       RtMigrationDone done;
       done.block = block;
       done.node = options_.node;
       done.size = batch[i].m.size;
-      done.duration_s = durations[i];
+      done.duration_s = service_s[i];
       done.cycle = batch[i].cycle;
       done.jobs = batch[i].m.jobs;
       dones.push_back(std::move(done));
     }
-    batch_blocks_.clear();
-    batch_state_.clear();
+    members_.clear();
     in_flight_bytes_ = 0;
-    active_block_ = BlockId::invalid();
   }
 
   // Spill pacing and demote events happen outside mu_, before the cycle's
@@ -549,50 +415,49 @@ void RtSlave::drain_batch_run(std::vector<RtMigration> batch, const std::stop_to
   // One coalesced report for the whole drain cycle.
   if (!dones.empty() && on_complete_) on_complete_(std::move(dones));
 
-  // Members that surfaced a transient fault leave the batch and retry on
-  // the classic per-block path, reproducing the reference event sequence
-  // (transfer_retry, backoff, fresh transfer_start) exactly. They retry
-  // sequentially, so — as on the per-block cadence — at most one migration
-  // is in the transfer phase and findable by cancel() at a time.
+  // Members that surfaced a transient fault back off one at a time and
+  // re-enter this routine as a batch of one: transfer_retry, backoff, then
+  // a fresh transfer_start. The recursion is bounded by the retry budget.
   for (RtMigration& f : faulted) {
     if (st.stop_requested()) return;
-    ++f.m.attempts;
-    if (options_.retry.exhausted(f.m.attempts)) {
-      {
-        std::lock_guard lock(mu_);
-        if (crashed_) return;
-        ++permanent_failures_;
-      }
-      emit_cycle_ = f.cycle;
-      emitter_.transfer_failed(now_us(), f.m.block, options_.node, f.m.attempts);
-      if (on_failed_) on_failed_(options_.node, std::move(f));
-      continue;
-    }
-    const SimDuration delay = options_.retry.backoff_for(f.m.attempts);
+    if (back_off(f, st)) drain({std::move(f)}, st);
+  }
+}
+
+bool RtSlave::back_off(RtMigration& f, const std::stop_token& st) {
+  ++f.m.attempts;
+  emit_cycle_ = f.cycle;
+  if (options_.retry.exhausted(f.m.attempts)) {
     {
       std::lock_guard lock(mu_);
-      if (crashed_) return;
-      ++retries_;
-      in_flight_bytes_ = f.m.size;
-      active_block_ = f.m.block;
-      active_cancelled_.store(false, std::memory_order_relaxed);
+      if (crashed_) return false;
+      ++permanent_failures_;
     }
-    emit_cycle_ = f.cycle;
-    emitter_.transfer_retry(now_us(), f.m.block, options_.node, f.m.attempts, delay);
-    bool settled = false;
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait_for(lock, std::chrono::microseconds(delay), [&] {
-        return st.stop_requested() || active_cancelled_.load(std::memory_order_relaxed);
-      });
-      if (st.stop_requested() || active_cancelled_.load(std::memory_order_relaxed)) {
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-        settled = true;  // cancelled/stopped mid-backoff
-      }
-    }
-    if (!settled) run_migration(std::move(f), st);
+    emitter_.transfer_failed(now_us(), f.m.block, options_.node, f.m.attempts);
+    if (on_failed_) on_failed_(options_.node, std::move(f));
+    return false;
   }
+  // Capped exponential backoff on the worker thread. The block waits as a
+  // queued member, so cancel() finds it and wakes the wait, and the
+  // migration then settles as cancelled; stop interrupts it too.
+  const SimDuration delay = options_.retry.backoff_for(f.m.attempts);
+  {
+    std::lock_guard lock(mu_);
+    if (crashed_) return false;
+    ++retries_;
+    members_.push_back({f.m.block, MemberState::Queued});
+    in_flight_bytes_ = f.m.size;
+  }
+  emitter_.transfer_retry(now_us(), f.m.block, options_.node, f.m.attempts, delay);
+  std::unique_lock lock(mu_);
+  const auto interrupted = [&] {
+    return st.stop_requested() || members_.front().state == MemberState::Cancelled;
+  };
+  cv_.wait_for(lock, std::chrono::microseconds(delay), interrupted);
+  if (!interrupted()) return true;  // members_ is the re-read's batch of one
+  members_.clear();
+  in_flight_bytes_ = 0;
+  return false;
 }
 
 }  // namespace dyrs::rt

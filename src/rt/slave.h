@@ -1,17 +1,27 @@
 // Real-threaded DYRS slave.
 //
 // One worker thread per slave serializes migrations exactly like the
-// simulated slave: pop the local FIFO queue, read the block from the
-// throttled disk into a freshly allocated pinned buffer, record the
-// duration in the shared MigrationEstimator, report completion. The local
-// queue is bounded; the master refills it through pull requests issued by
-// the worker when the queue runs low — the late-binding protocol of
-// §III-A1 with real threads and condition variables.
+// simulated slave: take from the local FIFO queue, read the block from the
+// throttled disk into a freshly allocated pinned buffer, record the token
+// service time in the shared MigrationEstimator, report completion. The
+// local queue is bounded; the worker pulls from the master on every loop
+// iteration that finds queue space — the late-binding protocol of §III-A1
+// with real threads and condition variables.
+//
+// The worker has one drain routine. Each cycle it takes up to
+// `drain_batch` queued migrations (one by default), submits their reads to
+// the token bucket together (ThrottledDisk::read_batch — sleeps amortized
+// across the batch, completions as tokens arrive), and reports one
+// coalesced `on_complete` vector for the cycle. Cancellation, injected
+// faults and crashes act on individual batch members; per-block trace
+// emission does not depend on the batch size, so merged span sequences are
+// identical at every `drain_batch`.
 //
 // Transient read failures (injected through the FaultSurface read-fault
 // hook, see set_read_fault_hook) are retried in place with the shared
-// core::RetryPolicy — capped exponential backoff on the worker thread,
-// interruptible by cancel/stop. Exhausting the budget reports the
+// core::RetryPolicy: a faulted member backs off on the worker thread
+// (capped exponential, interruptible by cancel/stop) and re-enters the
+// drain routine as a batch of one. Exhausting the budget reports the
 // migration back to the master via `on_failed`, which requeues it with
 // this node on the avoid list.
 //
@@ -20,15 +30,6 @@
 // admission policy the sim slave runs, so both backends make identical
 // tier decisions. Memory -> ssd spills are paced on a second ThrottledDisk
 // (the flash device); ssd -> disk demotions drop the buffer entirely.
-//
-// With `drain_batch > 1` the worker switches to a throughput cadence: it
-// drains up to a batch of queued migrations per cycle, submits their reads
-// to the token bucket together (ThrottledDisk::read_batch — sleeps
-// amortized across the batch, completions as tokens arrive), and reports
-// one coalesced `on_complete` vector per cycle instead of one callback per
-// block. Cancellation, injected faults and crashes act on individual batch
-// members; per-block trace emission is unchanged, so merged span sequences
-// are identical to the per-block cadence.
 //
 // The slave also exposes the rt failure surface: the worker publishes a
 // wall-clock heartbeat every loop iteration and every disk slice;
@@ -106,10 +107,10 @@ class RtSlave {
     /// Shared depth policy, forwarded by RtMaster from its
     /// ControlPlaneConfig when `queue_capacity` is 0.
     core::QueueDepthPolicy queue_depth;
-    /// Migrations drained (and read) per worker cycle. <= 1 keeps the
-    /// per-block reference cadence; larger values batch the reads behind
-    /// the token bucket and coalesce their completion reports. Forwarded
-    /// by RtMaster from its ExchangeConfig. A derived queue capacity
+    /// Migrations drained (and read) per worker cycle as one token-bucket
+    /// submission with one coalesced completion report; values below 1
+    /// mean 1, the per-block cadence. Forwarded by RtMaster from its
+    /// ExchangeConfig. A derived queue capacity
     /// (`queue_capacity == 0`) widens to hold two batches so the disk
     /// never idles between batched pulls.
     int drain_batch = 1;
@@ -132,8 +133,7 @@ class RtSlave {
 
   /// `on_complete` and `on_failed` run on the slave's worker thread.
   /// `on_complete` receives every settlement the current drain cycle
-  /// produced — a single-element vector on the per-block cadence
-  /// (`drain_batch <= 1`), up to `drain_batch` elements when batching.
+  /// produced — at most `drain_batch` elements.
   /// `pull` is invoked (also on the worker thread) whenever there is queue
   /// space; it should return the migrations the master binds to this slave.
   /// `on_failed` reports a migration that exhausted the retry budget.
@@ -158,8 +158,9 @@ class RtSlave {
   void poke();
 
   /// Cancels a local migration of `block` (missed read): removes it from
-  /// the queue, or interrupts it mid-read or mid-backoff if it is the
-  /// active one. Returns true if anything was cancelled. Thread-safe.
+  /// the queue, or interrupts it before or during its read or mid-backoff
+  /// if it belongs to the cycle being drained. Returns true if anything
+  /// was cancelled. Thread-safe.
   bool cancel(BlockId block);
 
   /// Read-fault hook (the FaultSurface; tests and RtFaultInjector):
@@ -225,24 +226,30 @@ class RtSlave {
   /// 0 — resolved before the worker starts, so no synchronization needed.
   static Options resolve(Options options);
 
-  /// Per-member state of the batch currently being read, guarded by mu_ so
-  /// cancel() can act on individual members mid-batch.
-  enum BatchState : std::uint8_t {
-    kBatchQueued = 0,     // waiting for its first token
-    kBatchActive = 1,     // consuming tokens now
-    kBatchDone = 2,       // read finished; completion pending flush
-    kBatchCancelled = 3,  // cancelled before or during its read
+  /// State of one member of the drain cycle being read, guarded by mu_ so
+  /// cancel() can act on individual members mid-cycle.
+  enum class MemberState : std::uint8_t {
+    Queued,     // waiting for its first token, or sleeping out a backoff
+    Active,     // consuming tokens now
+    Done,       // read finished; completion pending flush
+    Cancelled,  // cancelled before or during its read
+  };
+  struct Member {
+    BlockId block;
+    MemberState state = MemberState::Queued;
   };
 
   void worker_loop(std::stop_token st);
-  /// Runs one migration to settlement: read, retry-with-backoff loop,
-  /// completion/failure/cancel. Returns on the worker thread.
-  void run_migration(RtMigration next, const std::stop_token& st);
-  /// Batched cadence: submits the whole drain cycle's reads to the token
-  /// bucket together, then flushes one coalesced completion report.
-  /// Members that surface transient read faults fall back to the classic
-  /// per-block retry path after the flush.
-  void drain_batch_run(std::vector<RtMigration> batch, const std::stop_token& st);
+  /// The drain routine: submits the cycle's reads (members_ mirrors
+  /// `batch`) to the token bucket together, flushes one coalesced
+  /// completion report, then backs off each member that surfaced a
+  /// transient fault and re-runs it as a batch of one.
+  void drain(std::vector<RtMigration> batch, const std::stop_token& st);
+  /// Counts a faulted read of `f`: reports a permanent failure once the
+  /// retry budget is spent, else sleeps out the backoff with `f` as the
+  /// one queued member. True means re-read it (members_ is then its batch
+  /// of one); false means it settled (failed, cancelled, or stopped).
+  bool back_off(RtMigration& f, const std::stop_token& st);
   /// Admits a settled migration into the buffer manager (or folds new refs
   /// into an already-buffered block), appending any demotions it forced to
   /// `demoted`. Caller holds mu_ and processes `demoted` after releasing it.
@@ -278,12 +285,8 @@ class RtSlave {
   std::deque<RtMigration> queue_;
   Bytes queued_bytes_ = 0;  // sizes across queue_
   Bytes in_flight_bytes_ = 0;
-  BlockId active_block_ = BlockId::invalid();
-  /// Blocks and per-member state of the batch being read (empty outside a
-  /// drain cycle); parallel vectors, under mu_.
-  std::vector<BlockId> batch_blocks_;
-  std::vector<std::uint8_t> batch_state_;
-  std::atomic<bool> active_cancelled_{false};
+  /// Members of the cycle being drained (empty between cycles); under mu_.
+  std::vector<Member> members_;
   core::MigrationEstimator estimator_;
   /// Capacity accounting for the buffered tiers (mutated under mu_ through
   /// buffers_); capacity 0 reads as unbounded.

@@ -4,10 +4,10 @@
 // actual threads instead of simulated time. Reads block the calling thread
 // for bytes/rate wall-clock time, like a synchronous pread from a device
 // with the given bandwidth. The rate can be changed at any time
-// (interference), affecting reads in progress proportionally: a read
-// re-checks the rate in small slices, so a slowdown mid-read lengthens the
-// remainder, which is exactly the behaviour the overdue-estimate correction
-// reacts to.
+// (interference), affecting reads in progress proportionally: the one
+// pacing loop (read_batch) re-checks the rate in small slices, so a
+// slowdown mid-read lengthens the remainder, which is exactly the
+// behaviour the overdue-estimate correction reacts to.
 #pragma once
 
 #include <algorithm>
@@ -54,47 +54,39 @@ class ThrottledDisk {
   double degradation() const { return degradation_.load(std::memory_order_relaxed); }
   Rate nominal_bandwidth() const { return nominal_.load(std::memory_order_relaxed); }
 
-  /// Blocks the caller for bytes/bandwidth seconds, sliced so mid-read
-  /// bandwidth changes and cancellation take effect promptly. `on_slice`
-  /// (when set) runs once per slice — the rt slave publishes its heartbeat
-  /// there, so a long read does not read as a silent node.
+  /// Blocks the caller for bytes/bandwidth seconds: a batch of one through
+  /// read_batch(). `on_slice` runs once per slice — the rt slave publishes
+  /// its heartbeat there, so a long read does not read as a silent node.
   /// Returns false if `cancelled` became true before the read finished.
   bool read(Bytes bytes, const std::atomic<bool>* cancelled = nullptr,
             const std::function<void()>& on_slice = nullptr) {
-    DYRS_CHECK(bytes > 0);
-    double remaining = static_cast<double>(bytes);
-    while (remaining > 0) {
-      if (cancelled && cancelled->load(std::memory_order_relaxed)) return false;
-      if (on_slice) on_slice();
-      const double rate = bandwidth_.load(std::memory_order_relaxed);
-      // Slice: at most 1ms of work per sleep so rate changes bite quickly.
-      const double slice_bytes = std::min(remaining, rate / 1000.0);
-      const auto slice_us =
-          std::chrono::microseconds(static_cast<std::int64_t>(slice_bytes / rate * 1e6) + 1);
-      std::this_thread::sleep_for(slice_us);
-      remaining -= slice_bytes;
+    std::function<bool(std::size_t)> item_cancelled;
+    if (cancelled != nullptr) {
+      item_cancelled = [cancelled](std::size_t) {
+        return cancelled->load(std::memory_order_relaxed);
+      };
     }
-    return true;
+    return read_batch({bytes}, nullptr, on_slice, nullptr, item_cancelled) == 1;
   }
 
-  /// Async-style batched read: serves `items` FIFO from the same token
-  /// bucket, but amortizes the pacing sleep over the whole batch. `read()`
-  /// sleeps once per slice (~1ms of work), and on Linux each sleep_for
-  /// costs ~50-100us of timer overshoot — for sub-millisecond blocks that
-  /// overhead dominates the token time. Here the bucket tracks how far its
-  /// served virtual time runs ahead of the wall clock and only sleeps once
-  /// it is at least one slice ahead, so a drain cycle of many small reads
-  /// pays a handful of sleeps instead of one per block, while the batch as
-  /// a whole still completes in exactly sum(bytes)/bandwidth wall time
-  /// (the residual lead is slept out before returning).
+  /// The token bucket: serves `items` FIFO, sliced at ~1ms of work so
+  /// mid-read bandwidth changes and cancellation take effect promptly. On
+  /// Linux each sleep_for costs ~50-100us of timer overshoot, which would
+  /// dominate the token time of sub-millisecond blocks if every slice slept.
+  /// Instead the bucket tracks how far its served virtual time runs ahead of
+  /// the wall clock and only sleeps once it is at least one slice ahead, so
+  /// a batch of many small reads pays a handful of sleeps instead of one per
+  /// block. The residual lead is slept out before returning, so every call
+  /// — a batch of one included — takes at least sum(bytes)/bandwidth wall
+  /// time.
   ///
   ///  * `aborted()` is polled per slice; true abandons the whole batch
   ///    (slave crash / stop) and returns immediately.
-  ///  * `on_slice` runs once per slice, like read() — heartbeats.
+  ///  * `on_slice` runs once per slice — heartbeats.
   ///  * `on_start(i)` fires before item i consumes its first token;
   ///    returning false skips the item (cancelled while batched).
-  ///  * `item_cancelled()` is polled per slice and drops the remainder of
-  ///    the *current* item only; its on_done never fires and the batch
+  ///  * `item_cancelled(i)` is polled per slice of item i and drops the
+  ///    remainder of that item only; its on_done never fires and the batch
   ///    moves on.
   ///  * `on_done(i, service_s)` fires when item i is fully served.
   ///    `service_s` is the item's token-bucket service time — the duration
@@ -106,7 +98,7 @@ class ThrottledDisk {
                          const std::function<bool()>& aborted = nullptr,
                          const std::function<void()>& on_slice = nullptr,
                          const std::function<bool(std::size_t)>& on_start = nullptr,
-                         const std::function<bool()>& item_cancelled = nullptr,
+                         const std::function<bool(std::size_t)>& item_cancelled = nullptr,
                          const std::function<void(std::size_t, double)>& on_done = nullptr) {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
@@ -128,14 +120,13 @@ class ThrottledDisk {
       bool dropped = false;
       while (remaining > 0) {
         if (aborted && aborted()) return served;
-        if (item_cancelled && item_cancelled()) {
+        if (item_cancelled && item_cancelled(i)) {
           dropped = true;
           break;
         }
         if (on_slice) on_slice();
         const double rate = bandwidth_.load(std::memory_order_relaxed);
-        // Same 1ms-of-work slicing as read(), so bandwidth changes and
-        // cancellation bite with the same latency.
+        // Slice: at most 1ms of work, so rate changes bite quickly.
         const double slice_bytes = std::min(remaining, rate / 1000.0);
         const double slice_us = slice_bytes / rate * 1e6;
         virtual_us += slice_us;
@@ -151,7 +142,7 @@ class ThrottledDisk {
       if (on_done) on_done(i, item_us / 1e6);
       ++served;
     }
-    // Drain the residual lead so the batch's aggregate pacing matches the
+    // Drain the residual lead so the call's aggregate pacing matches the
     // configured bandwidth exactly before control returns to the caller.
     const double lead = lead_us();
     if (lead > 0) {

@@ -201,23 +201,21 @@ TEST(Differential, SmallestJobFirstBindsSmallJobFirstOnBoth) {
   check_traces(sim_out, rt_out);
 }
 
-// The sharded/batched exchange engine only changes how settlements are
-// synchronized, never what binds where: sim, reference rt and sharded rt
-// must produce one binding projection.
+// The exchange's shard count and drain batch only change how settlements
+// are synchronized, never what binds where: sim, per-block rt (one shard,
+// batches of one) and sharded rt must produce one binding projection.
 TEST(Differential, ShardedExchangeBindsIdenticallyToSim) {
   const std::vector<std::pair<JobId, int>> jobs = {{JobId(1), 16}};
-  rt::RtMaster::Options::ExchangeConfig sharded;
-  sharded.mode = rt::RtMaster::Options::ExchangeConfig::Mode::Sharded;
-  sharded.shards = 8;
-  sharded.drain_batch = 4;
+  const rt::RtMaster::Options::ExchangeConfig per_block{.shards = 1, .drain_batch = 1};
+  const rt::RtMaster::Options::ExchangeConfig sharded{.shards = 8, .drain_batch = 4};
 
   const Outcome sim_out = sim_run(core::Ordering::Fifo, jobs);
-  const Outcome rt_ref = rt_run(core::Ordering::Fifo, jobs);
+  const Outcome rt_one = rt_run(core::Ordering::Fifo, jobs, kNodes, 2, true, per_block);
   const Outcome rt_shd = rt_run(core::Ordering::Fifo, jobs, kNodes, 2, true, sharded);
 
   ASSERT_FALSE(sim_out.bindings.empty());
   EXPECT_EQ(sim_out.bindings, rt_shd.bindings);
-  EXPECT_EQ(rt_ref.bindings, rt_shd.bindings);
+  EXPECT_EQ(rt_one.bindings, rt_shd.bindings);
   check_traces(sim_out, rt_shd);
 }
 

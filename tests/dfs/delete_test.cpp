@@ -61,6 +61,7 @@ TEST(MasterDelete, DropsPendingBoundAndBuffered) {
   config.slave.reference_block = mib(64);
   auto master = core::make_dyrs(*t.cluster, *t.namenode, config);
   const auto& f = t.namenode->create_file("/in", mib(64) * 12);
+  ASSERT_EQ(f.blocks.size(), 12u);
   master->migrate_files(JobId(1), {"/in"}, core::EvictionMode::Explicit);
   t.sim.run_until(seconds(3));  // a few blocks buffered, some bound, some pending
   auto blocks = t.namenode->delete_file("/in");

@@ -83,7 +83,9 @@ TEST(ThreadLocalBufferSink, SortIsStableWithinEqualKeys) {
   ThreadLocalBufferSink sink;
   for (int i = 0; i < 3; ++i) {
     TraceEvent e(i, "sample");
-    e.with("name", "p" + std::to_string(i));
+    std::string name = "p";
+    name += std::to_string(i);
+    e.with("name", name);
     sink.emit(e);
     if (i == 1) sink.emit_record(LifecycleRecord(i, "mig_requeue", -1));
   }

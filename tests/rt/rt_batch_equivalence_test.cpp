@@ -1,15 +1,15 @@
-// Property test: the throughput exchange is observationally equivalent to
-// the per-block reference.
+// Property test: every configuration of the rt exchange engine is
+// observationally equivalent.
 //
 // For 200 seeded random schedules (node count, block count, sizes, replica
 // sets and job assignment all drawn from the seed), the same workload runs
 // under three exchange configurations:
 //
-//   reference   Mode::Reference, drain_batch 1  — the seed's shape
-//   batched     Mode::Reference, drain_batch 16 — coalesced completions,
-//               still single-lock settlement
-//   sharded     Mode::Sharded (8 shards), drain_batch 16 — the full
-//               throughput path
+//   per-block   shards 1, drain_batch 1  — one settlement lock, one read
+//               and one completion report per block
+//   batched     shards 1, drain_batch 16 — coalesced completions, still
+//               one settlement lock
+//   sharded     shards 8, drain_batch 16 — the full throughput path
 //
 // and all three must produce identical (a) per-block settlement
 // projections (the `type@node` signature `dyrsctl trace --span-seq`
@@ -120,13 +120,13 @@ Outcome run(const Schedule& s, RtMaster::Options::ExchangeConfig exchange) {
 
 TEST(RtBatchEquivalence, TwoHundredSeededSchedules) {
   using Exchange = RtMaster::Options::ExchangeConfig;
-  const Exchange reference{.mode = Exchange::Mode::Reference, .drain_batch = 1};
-  const Exchange batched{.mode = Exchange::Mode::Reference, .drain_batch = 16};
-  const Exchange sharded{.mode = Exchange::Mode::Sharded, .shards = 8, .drain_batch = 16};
+  const Exchange per_block{.shards = 1, .drain_batch = 1};
+  const Exchange batched{.shards = 1, .drain_batch = 16};
+  const Exchange sharded{.shards = 8, .drain_batch = 16};
 
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Schedule s = draw(seed);
-    const Outcome ref = run(s, reference);
+    const Outcome ref = run(s, per_block);
     const Outcome bat = run(s, batched);
     const Outcome shd = run(s, sharded);
 

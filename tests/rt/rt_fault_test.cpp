@@ -314,9 +314,7 @@ TEST(RtFaults, BatchedZombieCompletionsSuppressedPerMember) {
   victim.queue_capacity = 4;
   options.slaves = {busy, victim};
   options.retarget_interval = 10ms;
-  options.exchange = {.mode = RtMaster::Options::ExchangeConfig::Mode::Sharded,
-                      .shards = 8,
-                      .drain_batch = 4};
+  options.exchange = {.shards = 8, .drain_batch = 4};
   // Wider windows than fast_detection(): under TSan the 150ms dead window
   // false-positives on the *busy* node (a retarget pass holding mu_ can
   // stall its pull — and so its worker-loop heartbeat — for >150ms at

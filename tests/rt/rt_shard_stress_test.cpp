@@ -47,9 +47,7 @@ TEST(RtShardStress, BatchedCrashRestartWithConcurrentPollers) {
     options.slaves.push_back(s);
   }
   options.retarget_interval = 2ms;
-  options.exchange = {.mode = RtMaster::Options::ExchangeConfig::Mode::Sharded,
-                      .shards = 16,
-                      .drain_batch = 32};
+  options.exchange = {.shards = 16, .drain_batch = 32};
   options.failure_detection.enabled = true;
   options.failure_detection.monitor_interval = 5ms;
   options.failure_detection.suspect_after = 60ms;

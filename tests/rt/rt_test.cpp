@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics_registry.h"
@@ -77,6 +78,68 @@ TEST(ThrottledDisk, BandwidthChangeMidRead) {
   EXPECT_TRUE(disk.read(mib(4)));
   const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_LT(s, 0.3);  // the speedup took effect mid-read
+}
+
+// read() is a batch of one; these cover the pacing loop with many items.
+TEST(ThrottledDisk, BatchOfSmallItemsPacesAtAggregateBandwidth) {
+  struct Shape {
+    int items;
+    Bytes size;
+    Rate bandwidth;
+  };
+  // 4 MiB in 64 KiB items (62.5ms of tokens, paced by in-loop sleeps),
+  // and a batch under one slice (0.5ms) that only the residual-lead sleep
+  // paces.
+  for (const Shape& shape : {Shape{64, 64 * kKiB, mib_per_sec(64)},
+                             Shape{16, 4 * kKiB, mib_per_sec(128)}}) {
+    ThrottledDisk disk(shape.bandwidth);
+    const std::vector<Bytes> items(static_cast<std::size_t>(shape.items), shape.size);
+    const double expected_s =
+        static_cast<double>(shape.items) * static_cast<double>(shape.size) / shape.bandwidth;
+    std::vector<double> service(items.size(), 0.0);
+    const auto start = std::chrono::steady_clock::now();
+    const std::size_t served = disk.read_batch(items, nullptr, nullptr, nullptr, nullptr,
+                                               [&](std::size_t i, double s) { service[i] = s; });
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_EQ(served, items.size());
+    // The residual lead is slept out: never faster than the bandwidth.
+    EXPECT_GE(s, expected_s) << shape.items << " items";
+    EXPECT_LT(s, expected_s + 0.5) << shape.items << " items";
+    // Service times are token time, and together they are the whole call.
+    double sum = 0;
+    for (double x : service) {
+      EXPECT_GT(x, 0.0);
+      sum += x;
+    }
+    EXPECT_NEAR(sum, expected_s, expected_s * 1e-9) << shape.items << " items";
+  }
+}
+
+TEST(ThrottledDisk, ItemCancelledMidBatchDropsOnlyItself) {
+  ThrottledDisk disk(mib_per_sec(16));
+  // The middle item alone would take 1s; it is cancelled ~30ms in.
+  const std::vector<Bytes> items = {256 * kKiB, mib(16), 256 * kKiB};
+  std::atomic<bool> cancel_middle{false};
+  std::jthread canceller([&] {
+    std::this_thread::sleep_for(30ms);
+    cancel_middle = true;
+  });
+  std::vector<std::size_t> done;
+  double service_sum = 0;
+  const auto start = std::chrono::steady_clock::now();
+  const std::size_t served = disk.read_batch(
+      items, nullptr, nullptr, nullptr,
+      [&](std::size_t i) { return i == 1 && cancel_middle.load(); },
+      [&](std::size_t i, double service_s) {
+        done.push_back(i);
+        service_sum += service_s;
+      });
+  const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(served, 2u);
+  EXPECT_EQ(done, (std::vector<std::size_t>{0, 2}));
+  EXPECT_NEAR(service_sum, static_cast<double>(512 * kKiB) / mib_per_sec(16), 1e-9);
+  EXPECT_LT(s, 0.9);  // the middle item stopped early
 }
 
 TEST(RtMaster, DrainsAllMigrations) {
@@ -289,6 +352,47 @@ TEST(RtMaster, UntargetableMigrationIsDroppedNotHung) {
   EXPECT_EQ(master.slave(NodeId(0)).permanent_failures(), 1);
 }
 
+// cancel() during a retry backoff settles the migration as cancelled at
+// once: the block waits out its backoff as a queued member of the drain
+// cycle, so the slave finds it and wakes the wait. The same holds at every
+// drain-batch size.
+class RtSlaveBackoff : public ::testing::TestWithParam<int> {};
+
+TEST_P(RtSlaveBackoff, CancelSettlesAsCancelledPromptly) {
+  auto opts = slave_opts(0, mib_per_sec(400));
+  opts.retry = {.max_attempts = 4, .backoff = seconds(30), .backoff_cap = seconds(30)};
+  RtMaster::Options options;
+  options.slaves = {opts};
+  options.retarget_interval = 2ms;
+  options.exchange.drain_batch = GetParam();
+  RtMaster master(std::move(options));
+  master.slave(NodeId(0)).set_read_fault_hook([](BlockId b) { return b == BlockId(5); });
+  master.migrate(blocks_on_all(8, 1, 64 * kKiB));
+
+  // Block 5's first read failed and its 30s backoff began.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (master.slave(NodeId(0)).retries() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(master.slave(NodeId(0)).retries(), 1);
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(master.cancel(BlockId(5)));
+  ASSERT_TRUE(master.wait_idle(10s));
+  const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(s, 5.0);  // the 30s backoff was not waited out
+  EXPECT_EQ(master.completed(), 7);
+  EXPECT_EQ(master.requeued(), 0);
+  EXPECT_EQ(master.slave(NodeId(0)).retries(), 1);
+  EXPECT_EQ(master.slave(NodeId(0)).permanent_failures(), 0);
+  EXPECT_FALSE(master.cancel(BlockId(5)));  // settled once, gone
+}
+
+INSTANTIATE_TEST_SUITE_P(DrainBatch, RtSlaveBackoff, ::testing::Values(1, 16),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "batch" + std::to_string(info.param);
+                         });
+
 TEST(RtMaster, MergesDuplicateBlockAndTracksPerJobCompletions) {
   // Block 4 is requested by both jobs in the same batch: one lifecycle,
   // one transfer, but both jobs' accounting and buffer references.
@@ -385,9 +489,7 @@ TEST(RtMaster, AccessorPollingDoesNotStallOnMasterLock) {
   RtMaster::Options options;
   options.slaves = {slave_opts(0, mib_per_sec(4)), slave_opts(1, mib_per_sec(4))};
   options.retarget_interval = 1ms;
-  options.exchange = {.mode = RtMaster::Options::ExchangeConfig::Mode::Sharded,
-                      .shards = 8,
-                      .drain_batch = 8};
+  options.exchange = {.shards = 8, .drain_batch = 8};
   RtMaster master(std::move(options));
   master.migrate(blocks_on_all(20000, 2));
 
