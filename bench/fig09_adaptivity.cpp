@@ -21,7 +21,7 @@
 #include "dyrs/slave.h"
 #include "common/summary.h"
 #include "common/table.h"
-#include "obs/sampler.h"
+#include "exec/sampler.h"
 #include "workloads/sort.h"
 
 using namespace dyrs;
@@ -187,7 +187,7 @@ TrackingResult run_tracking(SimDuration period, bool overdue) {
                                                 /*initially_active=*/true, 2);
   // The estimate series comes from a PeriodicSampler probe (same machinery
   // the full testbed uses) instead of a hand-rolled recording timer.
-  obs::PeriodicSampler sampler(sim, obs::ObsContext{}, seconds(1));
+  exec::PeriodicSampler sampler(sim, obs::ObsContext{}, seconds(1));
   sampler.add_probe("slave.est_s_per_block",
                     [&slave]() { return slave.estimator().seconds_per_block(); });
   sampler.start();

@@ -5,8 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "cluster/memory.h"
-#include "dyrs/buffer_manager.h"
-#include "dyrs/estimator.h"
+#include "core/buffer_manager.h"
+#include "core/estimator.h"
 #include "sim/fair_share.h"
 #include "sim/simulator.h"
 

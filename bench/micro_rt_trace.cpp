@@ -48,7 +48,7 @@ void emit_one(const obs::ObsContext& ctx, int i) {
   obs::TraceEvent e(SimTime{i}, "mig_transfer_start");
   e.with("block", i % 64).with("node", i % 8).with("size", std::int64_t{1} << 18)
       .with("attempt", 1)
-      .with("lseq", rt::rt_lseq(1, rt::kRankTransfer))
+      .with("lseq", rt::rt_lseq(1, core::kRankTransfer))
       .with("tid", i % 8 + 1)
       .with("tseq", std::int64_t{i});
   ctx.emit(e);

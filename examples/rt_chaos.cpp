@@ -45,7 +45,7 @@
 #include <thread>
 #include <vector>
 
-#include "faults/rt_fault_injector.h"
+#include "rt/fault_injector.h"
 #include "obs/metrics_registry.h"
 #include "obs/thread_buffer_sink.h"
 #include "obs/trace.h"
@@ -134,7 +134,7 @@ std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBuffer
       blocks.push_back({BlockId(400 + i), mib(16), {NodeId(2), NodeId(0)}, JobId(2)});
     }
 
-    faults::RtFaultInjector injector(master, seed);
+    rt::RtFaultInjector injector(master, seed);
     faults::FaultPlan plan;
     plan.crash_process(NodeId(2), milliseconds(70), milliseconds(1800));
     injector.install(plan);
@@ -155,7 +155,7 @@ std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBuffer
   // absorbed by local retries and the degradation only stretches wall
   // clocks, so settlement is complete@home for every block.
   {
-    faults::RtFaultInjector injector(master, seed + 1);
+    rt::RtFaultInjector injector(master, seed + 1);
     faults::FaultPlan plan;
     plan.io_errors(NodeId(0), 0, milliseconds(600), 0.4);
     plan.io_errors(NodeId(1), milliseconds(50), milliseconds(500), 0.3);
@@ -180,7 +180,7 @@ std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBuffer
   // finishes its read anyway — a zombie completion the bound registry
   // drops. Healing at 900ms re-admits the node.
   {
-    faults::RtFaultInjector injector(master, seed + 2);
+    rt::RtFaultInjector injector(master, seed + 2);
     faults::FaultPlan plan;
     plan.partition(NodeId(2), milliseconds(50), milliseconds(900));
     injector.install(plan);

@@ -52,13 +52,6 @@ class Cluster {
     return ids;
   }
 
-  std::vector<NodeId> alive_node_ids() const {
-    std::vector<NodeId> ids;
-    for (const auto& n : nodes_)
-      if (n->alive()) ids.push_back(n->id());
-    return ids;
-  }
-
   sim::Simulator& simulator() { return sim_; }
 
  private:

@@ -10,7 +10,7 @@
 #include <functional>
 #include <limits>
 
-#include "cluster/tier_store.h"
+#include "core/tier_store.h"
 #include "common/units.h"
 #include "sim/fair_share.h"
 
@@ -18,7 +18,7 @@ namespace dyrs::cluster {
 
 enum class IoClass { MigrationRead, TaskRead, Write, Interference };
 
-class Disk final : public TierStore {
+class Disk final : public core::TierStore {
  public:
   struct Options {
     std::string name = "disk";

@@ -9,7 +9,7 @@
 
 #include <functional>
 
-#include "cluster/tier_store.h"
+#include "core/tier_store.h"
 #include "common/check.h"
 #include "common/timeseries.h"
 #include "common/units.h"
@@ -17,7 +17,7 @@
 
 namespace dyrs::cluster {
 
-class Memory final : public TierStore {
+class Memory final : public core::TierStore {
  public:
   struct Options {
     Bytes capacity = gib(128);

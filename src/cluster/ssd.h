@@ -8,7 +8,7 @@
 
 #include <functional>
 
-#include "cluster/tier_store.h"
+#include "core/tier_store.h"
 #include "common/check.h"
 #include "common/timeseries.h"
 #include "common/units.h"
@@ -16,7 +16,7 @@
 
 namespace dyrs::cluster {
 
-class Ssd final : public TierStore {
+class Ssd final : public core::TierStore {
  public:
   struct Options {
     Bytes capacity = gib(512);

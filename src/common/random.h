@@ -36,10 +36,6 @@ class Rng {
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
 
-  double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
   double lognormal(double mu, double sigma) {
     return std::lognormal_distribution<double>(mu, sigma)(engine_);
   }

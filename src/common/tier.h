@@ -1,7 +1,7 @@
 // Storage tiers of the migration target hierarchy (disk -> SSD -> memory).
 //
 // Shared vocabulary for the whole stack: the cluster hardware models
-// (cluster::TierStore instances), the control-plane admission policy
+// (core::TierStore instances), the control-plane admission policy
 // (core::TierPolicy), the buffer manager's residency tracking and the
 // `mig_demote` lifecycle events all name tiers with this enum. Ordered so
 // that a numerically lower tier is colder (slower, larger).

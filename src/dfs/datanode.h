@@ -25,7 +25,6 @@ class DataNode {
   void add_block(BlockId block) { stored_.insert(block); }
   void remove_block(BlockId block) { stored_.erase(block); }
   bool has_block(BlockId block) const { return stored_.count(block) > 0; }
-  std::size_t stored_block_count() const { return stored_.size(); }
 
   /// True when both the server and the datanode process are up.
   bool serving() const { return node_.alive() && process_alive_; }

@@ -40,7 +40,6 @@ class NameNode {
   // --- datanode membership & liveness ---------------------------------
   void register_datanode(DataNode* dn);
   DataNode* datanode(NodeId id);
-  int datanode_count() const { return static_cast<int>(datanodes_.size()); }
 
   /// Receives a heartbeat from a datanode (called by heartbeat drivers).
   void heartbeat(NodeId from);

@@ -1,10 +1,8 @@
 #include "dyrs/slave.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
-#include "common/log.h"
 
 namespace dyrs::core {
 
@@ -14,12 +12,13 @@ MigrationSlave::MigrationSlave(sim::Simulator& sim, dfs::DataNode& datanode,
       datanode_(datanode),
       config_(config),
       callbacks_(std::move(callbacks)),
-      estimator_({.ewma_alpha = config.ewma_alpha,
-                  .reference_block = config.reference_block,
-                  .fallback_rate = datanode.node().disk().bandwidth(),
-                  .overdue_correction = config.overdue_correction}),
-      buffers_(datanode.node().memory(), &datanode.node().ssd(), config.tier,
-               config.memory_limit) {
+      core_(datanode.id(),
+            {.ewma_alpha = config.ewma_alpha,
+             .reference_block = config.reference_block,
+             .fallback_rate = datanode.node().disk().bandwidth(),
+             .overdue_correction = config.overdue_correction},
+            datanode.node().memory(), &datanode.node().ssd(), config.tier, config.memory_limit,
+            config.retry) {
   DYRS_CHECK(config_.heartbeat_interval > 0);
 }
 
@@ -42,9 +41,9 @@ bool MigrationSlave::enqueue(BoundMigration m) {
                  "slave " << id() << " asked to migrate non-local block " << m.block);
   DYRS_CHECK_MSG(!has_local_migration(m.block),
                  "block " << m.block << " already bound to slave " << id());
-  if (buffers_.contains(m.block)) {
+  if (buffers().contains(m.block)) {
     // Already in memory (another job migrated it earlier): just reference.
-    buffers_.add_refs(m.block, m.jobs);
+    buffers().add_refs(m.block, m.jobs);
     return false;
   }
   bound_bytes_ += m.size;
@@ -53,60 +52,29 @@ bool MigrationSlave::enqueue(BoundMigration m) {
   return true;
 }
 
-bool MigrationSlave::has_local_migration(BlockId block) const {
-  if (active_.count(block) || backoff_.count(block)) return true;
-  return std::any_of(queue_.begin(), queue_.end(),
-                     [block](const BoundMigration& m) { return m.block == block; });
-}
-
-const BoundMigration* MigrationSlave::local_migration(BlockId block) const {
-  auto it = active_.find(block);
-  if (it != active_.end()) return &it->second.m;
-  auto bit = backoff_.find(block);
-  if (bit != backoff_.end()) return &bit->second.m;
-  auto qit = std::find_if(queue_.begin(), queue_.end(),
-                          [block](const BoundMigration& m) { return m.block == block; });
-  return qit == queue_.end() ? nullptr : &*qit;
+BoundMigration* MigrationSlave::find_local(BlockId block) {
+  if (auto it = active_.find(block); it != active_.end()) return &it->second.m;
+  if (auto it = backoff_.find(block); it != backoff_.end()) return &it->second.m;
+  auto it = std::find_if(queue_.begin(), queue_.end(),
+                         [block](const BoundMigration& m) { return m.block == block; });
+  return it == queue_.end() ? nullptr : &*it;
 }
 
 bool MigrationSlave::add_refs_if_local(BlockId block, const std::map<JobId, EvictionMode>& jobs) {
-  auto it = active_.find(block);
-  if (it != active_.end()) {
-    for (const auto& [job, mode] : jobs) it->second.m.jobs[job] = mode;
-    buffers_.add_refs(block, jobs);  // reservation already installed refs
-    return true;
-  }
-  auto bit = backoff_.find(block);
-  if (bit != backoff_.end()) {
-    for (const auto& [job, mode] : jobs) bit->second.m.jobs[job] = mode;
-    return true;
-  }
-  auto qit = std::find_if(queue_.begin(), queue_.end(),
-                          [block](const BoundMigration& m) { return m.block == block; });
-  if (qit == queue_.end()) return false;
-  for (const auto& [job, mode] : jobs) qit->jobs[job] = mode;
+  BoundMigration* m = find_local(block);
+  if (m == nullptr) return false;
+  for (const auto& [job, mode] : jobs) m->jobs[job] = mode;
+  // An in-flight migration's reservation already installed its refs.
+  if (active_.count(block) != 0) buffers().add_refs(block, jobs);
   return true;
 }
 
 bool MigrationSlave::cancel_for_job(BlockId block, JobId job) {
-  auto it = active_.find(block);
-  if (it != active_.end()) {
-    it->second.m.jobs.erase(job);
-    if (!it->second.m.jobs.empty()) return false;  // others still want it
-    return cancel_block(block);
-  }
-  auto bit = backoff_.find(block);
-  if (bit != backoff_.end()) {
-    bit->second.m.jobs.erase(job);
-    if (!bit->second.m.jobs.empty()) return false;
-    return cancel_block(block);
-  }
-  auto qit = std::find_if(queue_.begin(), queue_.end(),
-                          [block](const BoundMigration& m) { return m.block == block; });
-  if (qit == queue_.end()) return false;
-  qit->jobs.erase(job);
-  if (!qit->jobs.empty()) return false;
-  return cancel_block(block);
+  BoundMigration* m = find_local(block);
+  if (m == nullptr) return false;
+  m->jobs.erase(job);
+  // Cancelled outright only when no other job still wants it.
+  return m->jobs.empty() && cancel_block(block);
 }
 
 void MigrationSlave::maybe_start() {
@@ -136,7 +104,7 @@ bool MigrationSlave::start_migration(BoundMigration m) {
   // buffer stalls the queue until an eviction or a missed-read
   // cancellation makes room (§IV-A1).
   std::vector<BufferManager::Demotion> demoted;
-  const bool admitted = buffers_.try_add(m.block, m.size, m.jobs, &demoted);
+  const bool admitted = core_.admit(m.block, m.size, m.jobs, demoted);
   process_demotions(demoted);
   if (!admitted) {
     stalled_ = true;
@@ -145,16 +113,13 @@ bool MigrationSlave::start_migration(BoundMigration m) {
   }
   stalled_ = false;
   const BlockId block = m.block;
-  const Bytes size = m.size;
-  const int attempt = m.attempts + 1;
   Active active;
-  active.m = std::move(m);
   active.started_at = sim_.now();
   active.flow = datanode_.node().disk().start_io(
-      cluster::IoClass::MigrationRead, size,
+      cluster::IoClass::MigrationRead, m.size,
       [this, block](SimTime t) { finish_migration(block, t); });
-  active_.emplace(block, std::move(active));
-  emitter_.transfer_start(sim_.now(), block, id(), size, attempt);
+  active.m = std::move(m);
+  core_.transfer_start(sim_.now(), active_.emplace(block, std::move(active)).first->second.m);
   return true;
 }
 
@@ -168,9 +133,9 @@ void MigrationSlave::finish_migration(BlockId block, SimTime finished) {
     return;
   }
   const Active& a = it->second;
-  buffers_.mark_resident(block);  // data fully arrived; demotable from now on
-  const double duration_s = to_seconds(finished - a.started_at);
-  estimator_.on_complete(a.m.size, duration_s);
+  // Data fully arrived: the estimator learns the read, and the block is
+  // demotable from now on.
+  core_.complete(block, a.m.size, to_seconds(finished - a.started_at));
 
   MigrationRecord record;
   record.block = block;
@@ -181,7 +146,6 @@ void MigrationSlave::finish_migration(BlockId block, SimTime finished) {
   record.finished_at = finished;
   bound_bytes_ -= a.m.size;
   active_.erase(it);
-  ++completed_;
   if (callbacks_.on_complete) callbacks_.on_complete(record);
   maybe_start();
 }
@@ -191,23 +155,15 @@ void MigrationSlave::fail_migration(BlockId block) {
   DYRS_CHECK(it != active_.end());
   BoundMigration m = std::move(it->second.m);
   active_.erase(it);
-  buffers_.force_evict(block);  // drop the partially-read pages
-  ++m.attempts;
-  if (config_.retry.exhausted(m.attempts)) {
-    bound_bytes_ -= m.size;
-    ++permanent_failures_;
-    DYRS_LOG(Debug, "slave") << "node " << id() << " giving up on block " << block << " after "
-                             << m.attempts << " attempts";
-    emitter_.transfer_failed(sim_.now(), block, id(), m.attempts);
-    if (callbacks_.on_failed) callbacks_.on_failed(id(), std::move(m));
-  } else {
-    ++retries_;
-    const SimDuration delay = config_.retry.backoff_for(m.attempts);
-    emitter_.transfer_retry(sim_.now(), block, id(), m.attempts, delay);
+  buffers().force_evict(block);  // drop the partially-read pages
+  if (const auto delay = core_.fail_attempt(sim_.now(), m)) {
     Backoff b;
     b.m = std::move(m);
-    b.timer = sim_.schedule_after(delay, [this, block]() { retry_now(block); });
+    b.timer = sim_.schedule_after(*delay, [this, block]() { retry_now(block); });
     backoff_.emplace(block, std::move(b));
+  } else {
+    bound_bytes_ -= m.size;
+    if (callbacks_.on_failed) callbacks_.on_failed(id(), std::move(m));
   }
   maybe_start();
 }
@@ -215,9 +171,8 @@ void MigrationSlave::fail_migration(BlockId block) {
 void MigrationSlave::retry_now(BlockId block) {
   auto it = backoff_.find(block);
   if (it == backoff_.end()) return;  // cancelled meanwhile
-  BoundMigration m = std::move(it->second.m);
+  queue_.push_back(std::move(it->second.m));
   backoff_.erase(it);
-  queue_.push_back(std::move(m));
   maybe_start();
 }
 
@@ -227,7 +182,7 @@ bool MigrationSlave::cancel_block(BlockId block) {
     datanode_.node().disk().cancel(it->second.flow);
     bound_bytes_ -= it->second.m.size;
     active_.erase(it);
-    buffers_.force_evict(block);  // releases the reserved pages
+    buffers().force_evict(block);  // releases the reserved pages
     maybe_start();
     return true;
   }
@@ -255,33 +210,23 @@ void MigrationSlave::heartbeat() {
   // Overdue correction: fold in the elapsed time of in-flight migrations
   // that have outlived their estimate (§IV-A).
   for (const auto& [block, a] : active_) {
-    estimator_.on_overdue(a.m.size, to_seconds(sim_.now() - a.started_at));
+    estimator().on_overdue(a.m.size, to_seconds(sim_.now() - a.started_at));
   }
   // Threshold-triggered scavenge of references held by dead jobs.
-  if (job_active_query && buffers_.over_threshold(config_.scavenge_threshold)) {
-    report_evicted(buffers_.scavenge(job_active_query));
+  if (job_active_query && buffers().over_threshold(config_.scavenge_threshold)) {
+    report_evicted(buffers().scavenge(job_active_query));
   }
-  if (gauge_memory_used_ != nullptr) {
-    gauge_memory_used_->set(static_cast<double>(buffers_.used()));
-    gauge_ssd_used_->set(static_cast<double>(buffers_.ssd_used()));
-  }
+  core_.refresh_gauges();
   if (stalled_ || (!queue_.empty() && (!config_.serialize_migrations || active_.empty()))) {
     maybe_start();
   }
 }
 
 void MigrationSlave::process_demotions(const std::vector<BufferManager::Demotion>& demoted) {
-  if (demoted.empty()) return;
   std::vector<BlockId> evicted;
   for (const auto& d : demoted) {
-    ++demotions_;
-    if (ctr_demotions_ != nullptr) ctr_demotions_->inc();
-    emitter_.demote(sim_.now(), d.block, id(), d.from, d.to, d.size);
+    core_.demote(sim_.now(), d);
     if (d.to == Tier::Disk) evicted.push_back(d.block);
-  }
-  if (gauge_memory_used_ != nullptr) {
-    gauge_memory_used_->set(static_cast<double>(buffers_.used()));
-    gauge_ssd_used_->set(static_cast<double>(buffers_.ssd_used()));
   }
   // Disk demotions fell off the hierarchy entirely: the master must
   // unregister their replicas. Call the callback directly — demotions run
@@ -298,13 +243,13 @@ void MigrationSlave::report_evicted(const std::vector<BlockId>& evicted) {
 }
 
 std::vector<BlockId> MigrationSlave::release_job(JobId job) {
-  auto evicted = buffers_.release_job(job);
+  auto evicted = buffers().release_job(job);
   report_evicted(evicted);
   return evicted;
 }
 
 std::vector<BlockId> MigrationSlave::on_block_read(BlockId block, JobId job) {
-  auto evicted = buffers_.on_block_read(block, job);
+  auto evicted = buffers().on_block_read(block, job);
   report_evicted(evicted);
   return evicted;
 }
@@ -316,7 +261,7 @@ MigrationSlave::CrashReport MigrationSlave::crash() {
   // registered as in-memory replicas.
   for (auto& [block, a] : active_) {
     datanode_.node().disk().cancel(a.flow);
-    buffers_.force_evict(block);
+    buffers().force_evict(block);
     report.lost.push_back(std::move(a.m));
   }
   active_.clear();
@@ -329,7 +274,7 @@ MigrationSlave::CrashReport MigrationSlave::crash() {
   queue_.clear();
   bound_bytes_ = 0;
   stalled_ = false;
-  report.buffered = buffers_.clear_all();
+  report.buffered = buffers().clear_all();
   return report;
 }
 

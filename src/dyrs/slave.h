@@ -1,32 +1,32 @@
-// DYRS slave — the migration worker inside each DataNode (paper §III, §IV).
+// DYRS slave — the migration worker inside each DataNode (paper §III, §IV),
+// sim backend.
 //
-// Responsibilities:
-//  * keep a bounded local FIFO queue of bound migrations, deep enough that
-//    the disk never idles between master pulls, shallow enough that binding
+// The decisions every slave shares (estimate, buffer admission and
+// demotion counting, retry-or-fail, slave-side lifecycle events) live in
+// core::SlaveCore. This wrapper adds the simulator's clock and I/O:
+//  * a bounded local FIFO queue of bound migrations, deep enough that the
+//    disk never idles between master pulls, shallow enough that binding
 //    stays late (depth = ceil(heartbeat / unloaded block read time), §III-B);
-//  * execute migrations — serialized by default, to avoid seek-thrashing
-//    the disk (Ignem-style concurrent execution is a config switch);
-//  * maintain the per-node migration-time estimate, with the overdue
-//    correction applied every heartbeat (§IV-A);
-//  * manage the memory buffer: reference lists, implicit/explicit eviction,
-//    scavenging of dead jobs, hard memory limit with queue stalling.
+//  * migrations run as disk flows — serialized by default, to avoid
+//    seek-thrashing the disk (Ignem-style concurrent execution is a config
+//    switch) — with retry backoff on simulator timers;
+//  * the overdue estimator correction applied every heartbeat (§IV-A);
+//  * buffer memory reserved before the read starts, stalling the queue
+//    while admission is refused; implicit/explicit eviction and scavenging
+//    of dead jobs' references.
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 
-#include "core/lifecycle.h"
 #include "core/queue_depth.h"
 #include "core/retry_policy.h"
+#include "core/slave_core.h"
 #include "core/tier_policy.h"
 #include "core/types.h"
 #include "dfs/datanode.h"
-#include "dyrs/buffer_manager.h"
-#include "dyrs/estimator.h"
 #include "obs/obs_context.h"
-#include "obs/trace.h"
 #include "sim/simulator.h"
 
 namespace dyrs::core {
@@ -98,7 +98,7 @@ class MigrationSlave {
   /// one was found. Reserved memory is released.
   bool cancel_block(BlockId block);
 
-  bool has_local_migration(BlockId block) const;
+  bool has_local_migration(BlockId block) const { return local_migration(block) != nullptr; }
 
   /// Merges additional job references into a queued/in-flight migration of
   /// `block` (a later job requested a block already being migrated here).
@@ -134,12 +134,14 @@ class MigrationSlave {
 
   /// Migration of `block` bound here, wherever it currently sits (queued,
   /// in flight, or in retry backoff); nullptr when not bound locally.
-  const BoundMigration* local_migration(BlockId block) const;
+  const BoundMigration* local_migration(BlockId block) const {
+    return const_cast<MigrationSlave*>(this)->find_local(block);
+  }
 
-  MigrationEstimator& estimator() { return estimator_; }
-  const MigrationEstimator& estimator() const { return estimator_; }
-  BufferManager& buffers() { return buffers_; }
-  const BufferManager& buffers() const { return buffers_; }
+  MigrationEstimator& estimator() { return core_.estimator(); }
+  const MigrationEstimator& estimator() const { return core_.estimator(); }
+  BufferManager& buffers() { return core_.buffers(); }
+  const BufferManager& buffers() const { return core_.buffers(); }
   const SlaveConfig& config() const { return config_; }
   dfs::DataNode& datanode() { return datanode_; }
   const dfs::DataNode& datanode() const { return datanode_; }
@@ -148,31 +150,24 @@ class MigrationSlave {
   /// "assume every referencing job is still active".
   std::function<bool(JobId)> job_active_query;
 
-  long migrations_completed() const { return completed_; }
+  long migrations_completed() const { return core_.completed(); }
   bool stalled() const { return stalled_; }
 
   /// Transfer-phase trace events (mig_transfer_start/retry/failed) go
   /// through this context; the default no-op context disables them at the
   /// cost of one flag check per site.
-  void set_obs(const obs::ObsContext& obs) {
-    obs_ = obs;
-    emitter_ = LifecycleEmitter(obs);
-    const std::string prefix = "node" + std::to_string(id().value()) + ".tier.";
-    gauge_memory_used_ = obs.gauge(prefix + "memory.used_bytes");
-    gauge_ssd_used_ = obs.gauge(prefix + "ssd.used_bytes");
-    ctr_demotions_ = obs.counter("dyrs.migrations.demoted");
-  }
+  void set_obs(const obs::ObsContext& obs) { core_.set_obs(obs); }
 
   /// Blocks demoted downward by capacity pressure (memory -> ssd -> disk).
-  long demotions() const { return demotions_; }
+  long demotions() const { return core_.demotions(); }
 
   // --- retry statistics -------------------------------------------------
   /// Migrations currently waiting out a retry backoff.
   int backoff_count() const { return static_cast<int>(backoff_.size()); }
   /// Transient I/O errors absorbed by a local retry.
-  long retries() const { return retries_; }
+  long retries() const { return core_.retries(); }
   /// Migrations that exhausted the retry budget and were reported failed.
-  long permanent_failures() const { return permanent_failures_; }
+  long permanent_failures() const { return core_.permanent_failures(); }
 
  private:
   struct Active {
@@ -185,39 +180,28 @@ class MigrationSlave {
     sim::EventHandle timer;
   };
 
+  BoundMigration* find_local(BlockId block);
   void maybe_start();
   bool start_migration(BoundMigration m);
-  /// Emits mig_demote events, reports tier-bottom (disk) demotions as
-  /// evictions to the master, and refreshes the per-tier gauges.
+  /// Emits mig_demote events and reports tier-bottom (disk) demotions as
+  /// evictions to the master.
   void process_demotions(const std::vector<BufferManager::Demotion>& demoted);
   void finish_migration(BlockId block, SimTime finished);
   void fail_migration(BlockId block);
   void retry_now(BlockId block);
   void report_evicted(const std::vector<BlockId>& evicted);
-  bool tracing() const { return obs_.tracing(); }
 
   sim::Simulator& sim_;
   dfs::DataNode& datanode_;
   SlaveConfig config_;
   Callbacks callbacks_;
-  MigrationEstimator estimator_;
-  BufferManager buffers_;
-
-  obs::ObsContext obs_;
-  LifecycleEmitter emitter_;
+  SlaveCore core_;
 
   std::deque<BoundMigration> queue_;
   std::unordered_map<BlockId, Active> active_;
   std::unordered_map<BlockId, Backoff> backoff_;
   Bytes bound_bytes_ = 0;  // sizes across queue_, active_ and backoff_
   bool stalled_ = false;
-  long completed_ = 0;
-  long retries_ = 0;
-  long permanent_failures_ = 0;
-  long demotions_ = 0;
-  obs::Gauge* gauge_memory_used_ = nullptr;
-  obs::Gauge* gauge_ssd_used_ = nullptr;
-  obs::Counter* ctr_demotions_ = nullptr;
 };
 
 }  // namespace dyrs::core

@@ -69,7 +69,6 @@ class Engine {
   JobId submit_at(const JobSpec& spec, SimTime at);
 
   bool job_active(JobId id) const { return active_.count(id) > 0; }
-  std::size_t active_jobs() const { return active_.size(); }
   bool all_done() const { return active_.empty() && pending_submissions_ == 0; }
 
   Metrics& metrics() { return metrics_; }

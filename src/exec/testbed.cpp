@@ -140,10 +140,10 @@ void Testbed::remove_file(const std::string& name) {
   if (service_ != nullptr) service_->on_blocks_deleted(blocks);
 }
 
-faults::FaultInjector& Testbed::install_fault_plan(const faults::FaultPlan& plan) {
+FaultInjector& Testbed::install_fault_plan(const faults::FaultPlan& plan) {
   DYRS_CHECK_MSG(injector_ == nullptr, "a fault plan is already installed");
   injector_ =
-      std::make_unique<faults::FaultInjector>(sim_, *cluster_, *namenode_, config_.fault_seed);
+      std::make_unique<FaultInjector>(sim_, *cluster_, *namenode_, config_.fault_seed);
   injector_->set_obs(obs_.context());
   if (invariants_ != nullptr) {
     injector_->after_event = [this]() { invariants_->check_now("after-fault"); };
@@ -152,8 +152,8 @@ faults::FaultInjector& Testbed::install_fault_plan(const faults::FaultPlan& plan
   return *injector_;
 }
 
-faults::ClusterInvariantChecker& Testbed::enable_invariant_checks(
-    faults::ClusterInvariantChecker::Options opts) {
+ClusterInvariantChecker& Testbed::enable_invariant_checks(
+    ClusterInvariantChecker::Options opts) {
   DYRS_CHECK_MSG(invariants_ == nullptr, "invariant checks already enabled");
   if (opts.period <= 0) opts.period = config_.invariant_check_period;
   if (opts.detection_grace <= 0) {
@@ -165,7 +165,7 @@ faults::ClusterInvariantChecker& Testbed::enable_invariant_checks(
   if (opts.rebuild_grace <= 0) {
     opts.rebuild_grace = config_.master.slave.heartbeat_interval * 2 + seconds(1);
   }
-  invariants_ = std::make_unique<faults::ClusterInvariantChecker>(sim_, *cluster_, *namenode_,
+  invariants_ = std::make_unique<ClusterInvariantChecker>(sim_, *cluster_, *namenode_,
                                                                  master_.get(), opts);
   if (injector_ != nullptr) {
     injector_->after_event = [this]() { invariants_->check_now("after-fault"); };
@@ -173,13 +173,13 @@ faults::ClusterInvariantChecker& Testbed::enable_invariant_checks(
   return *invariants_;
 }
 
-obs::PeriodicSampler& Testbed::enable_sampling() {
+PeriodicSampler& Testbed::enable_sampling() {
   DYRS_CHECK_MSG(sampler_ == nullptr, "sampling already enabled");
   // The sampler adopts every probe the testbed registered into the
   // ProbeBook at construction (same registration order, so coinciding
   // ticks keep their deterministic emission order).
   sampler_ =
-      std::make_unique<obs::PeriodicSampler>(sim_, obs_.context(), config_.sample_interval);
+      std::make_unique<PeriodicSampler>(sim_, obs_.context(), config_.sample_interval);
   sampler_->start();
   return *sampler_;
 }

@@ -25,10 +25,10 @@
 #include "dfs/namenode.h"
 #include "dyrs/strategies.h"
 #include "exec/engine.h"
-#include "faults/fault_injector.h"
-#include "faults/invariant_checker.h"
+#include "exec/fault_injector.h"
+#include "exec/invariant_checker.h"
 #include "obs/observability.h"
-#include "obs/sampler.h"
+#include "exec/sampler.h"
 
 namespace dyrs::exec {
 
@@ -104,12 +104,12 @@ class Testbed {
   // --- fault injection --------------------------------------------------
   /// Schedules `plan` against this testbed (call before run()). At most one
   /// plan per testbed; returns the injector for trace/stat access.
-  faults::FaultInjector& install_fault_plan(const faults::FaultPlan& plan);
+  FaultInjector& install_fault_plan(const faults::FaultPlan& plan);
   /// Starts periodic cross-layer invariant checking; when a fault plan is
   /// (or later gets) installed, checks also run after every fault event.
   /// Grace windows left at 0 are derived from the heartbeat configuration.
-  faults::ClusterInvariantChecker& enable_invariant_checks(
-      faults::ClusterInvariantChecker::Options opts = {});
+  ClusterInvariantChecker& enable_invariant_checks(
+      ClusterInvariantChecker::Options opts = {});
 
   // --- observability ----------------------------------------------------
   /// Every layer is wired to this bundle at construction; tracing is off
@@ -121,9 +121,9 @@ class Testbed {
   void stop_tracing() { obs_.stop_tracing(); }
   /// Starts per-node telemetry sampling (disk/NIC utilization, pinned
   /// memory bytes, master queue depths) on config().sample_interval.
-  obs::PeriodicSampler& enable_sampling();
+  PeriodicSampler& enable_sampling();
   /// Null until enable_sampling() is called.
-  obs::PeriodicSampler* sampler() { return sampler_.get(); }
+  PeriodicSampler* sampler() { return sampler_.get(); }
 
   // --- run --------------------------------------------------------------
   /// Runs the simulation until every submitted job finished (or
@@ -146,8 +146,8 @@ class Testbed {
   core::OracleInRam* oracle() { return oracle_.get(); }
   core::MigrationService* service() { return service_; }
   /// Null until install_fault_plan / enable_invariant_checks are called.
-  faults::FaultInjector* injector() { return injector_.get(); }
-  faults::ClusterInvariantChecker* invariants() { return invariants_.get(); }
+  FaultInjector* injector() { return injector_.get(); }
+  ClusterInvariantChecker* invariants() { return invariants_.get(); }
 
  private:
   /// Registers the per-node telemetry probes into the context's ProbeBook;
@@ -169,9 +169,9 @@ class Testbed {
   std::unique_ptr<Engine> engine_;
   std::vector<std::unique_ptr<cluster::DiskInterference>> persistent_;
   std::vector<std::unique_ptr<cluster::AlternatingInterference>> alternating_;
-  std::unique_ptr<faults::FaultInjector> injector_;
-  std::unique_ptr<faults::ClusterInvariantChecker> invariants_;
-  std::unique_ptr<obs::PeriodicSampler> sampler_;
+  std::unique_ptr<FaultInjector> injector_;
+  std::unique_ptr<ClusterInvariantChecker> invariants_;
+  std::unique_ptr<PeriodicSampler> sampler_;
 };
 
 }  // namespace dyrs::exec

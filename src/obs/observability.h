@@ -11,7 +11,6 @@
 
 #include "obs/metrics_registry.h"
 #include "obs/obs_context.h"
-#include "obs/thread_buffer_sink.h"
 #include "obs/trace.h"
 
 namespace dyrs::obs {
@@ -40,22 +39,6 @@ class Observability {
   void trace_to_jsonl(const std::string& path) {
     owned_sink_ = std::make_unique<JsonlFileSink>(path);
     tracer_.set_sink(owned_sink_.get());
-  }
-
-  /// Routes trace events to per-thread buffers for multi-threaded emitters
-  /// (the rt runtime); returns the sink for merge_thread_buffers().
-  ThreadLocalBufferSink& trace_to_thread_buffers() {
-    auto sink = std::make_unique<ThreadLocalBufferSink>();
-    ThreadLocalBufferSink& ref = *sink;
-    owned_sink_ = std::move(sink);
-    tracer_.set_sink(owned_sink_.get());
-    return ref;
-  }
-
-  /// Routes trace events to a caller-owned sink (nullptr disables tracing).
-  void trace_to(TraceSink* sink) {
-    owned_sink_.reset();
-    tracer_.set_sink(sink);
   }
 
   /// Disables tracing and releases any owned sink (flushing a file sink).

@@ -97,11 +97,9 @@ class RtMaster {
     /// but-incomplete lifecycles (heartbeat-loss) and requeues the blocks
     /// through the control plane with the node on the avoid list; a node
     /// whose heartbeats resume rejoins the retargeter's eligible set.
-    /// The knob struct itself lives in core (shared declaration surface
-    /// with the sim backend's ControlPlaneConfig); the alias keeps every
-    /// existing `RtMaster::Options::FailureDetection` spelling working.
-    using FailureDetection = core::FailureDetection;
-    FailureDetection failure_detection{};
+    /// The knob struct lives in core (shared declaration surface with the
+    /// sim backend's ControlPlaneConfig).
+    core::FailureDetection failure_detection{};
     /// Local retry budget for transient read failures, forwarded to every
     /// slave whose options left `retry` at the defaults — the same shared
     /// policy core the sim backend reads from its ControlPlaneConfig.

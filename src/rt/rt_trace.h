@@ -30,13 +30,6 @@
 
 namespace dyrs::rt {
 
-using core::kRankBind;
-using core::kRankEnqueue;
-using core::kRankRetry;
-using core::kRankTarget;
-using core::kRankTerminal;
-using core::kRankTransfer;
-
 inline std::int64_t rt_lseq(std::uint64_t cycle, int rank) {
   return static_cast<std::int64_t>(cycle) * 8 + rank;
 }

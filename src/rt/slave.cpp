@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -39,32 +40,24 @@ RtSlave::RtSlave(Options options, std::function<void(std::vector<RtMigrationDone
       on_failed_(std::move(on_failed)),
       pull_latency_(options_.obs.histogram(
           "node" + std::to_string(options_.node.value()) + ".rt.pull_us")),
-      gauge_memory_used_(options_.obs.gauge(
-          "node" + std::to_string(options_.node.value()) + ".tier.memory.used_bytes")),
-      gauge_ssd_used_(options_.obs.gauge(
-          "node" + std::to_string(options_.node.value()) + ".tier.ssd.used_bytes")),
-      ctr_demotions_(options_.obs.counter("dyrs.migrations.demoted")),
-      estimator_({.ewma_alpha = options_.ewma_alpha,
-                  .reference_block = options_.reference_block,
-                  .fallback_rate = options_.disk_bandwidth,
-                  .overdue_correction = true}),
       mem_tier_(Tier::Memory, options_.memory_capacity, gib_per_sec(100)),
       ssd_tier_(Tier::Ssd, options_.ssd_capacity, options_.ssd_bandwidth),
-      buffers_(mem_tier_, &ssd_tier_, options_.tier,
-               options_.memory_capacity == 0 ? mem_tier_.capacity()
-                                             : options_.memory_capacity),
-      emitter_(options_.obs,
-               [this](obs::LifecycleRecord& r, int rank) {
-                 // Worker-thread merge key: lseq from the lifecycle's cycle,
-                 // tid node+1, per-thread monotonic tseq. Only the worker
-                 // emits through this emitter, so no locking is needed.
-                 r.stamp(rt_lseq(emit_cycle_, rank), options_.node.value() + 1,
-                         static_cast<std::int64_t>(++tseq_));
-               }),
-      worker_([this](std::stop_token st) { worker_loop(st); }) {
+      core_(options_.node,
+            {.ewma_alpha = options_.ewma_alpha,
+             .reference_block = options_.reference_block,
+             .fallback_rate = options_.disk_bandwidth,
+             .overdue_correction = true},
+            mem_tier_, &ssd_tier_, options_.tier, options_.memory_capacity, options_.retry) {
   DYRS_CHECK(options_.queue_capacity >= 1);
   DYRS_CHECK(pull_ != nullptr);
+  core_.set_obs(options_.obs, [this](obs::LifecycleRecord& r, int rank) {
+    // Worker-thread merge key: lseq from the lifecycle's cycle, tid node+1,
+    // per-thread monotonic tseq; only the worker emits, so no lock.
+    r.stamp(rt_lseq(emit_cycle_, rank), options_.node.value() + 1,
+            static_cast<std::int64_t>(++tseq_));
+  });
   beat();
+  worker_ = std::jthread([this](std::stop_token st) { worker_loop(st); });
 }
 
 RtSlave::~RtSlave() { stop(); }
@@ -154,16 +147,14 @@ void RtSlave::crash() {
   }
   // The stop request interrupts the active read at its next slice (the
   // token bucket polls it) and any retry backoff (its wait predicate).
-  worker_.request_stop();
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
+  stop();
   // The process is gone: local queue and buffers die with it. Nothing is
   // reported back — reclaiming what the master bound here is the failure
   // detector's job, exactly as with a real machine.
   std::lock_guard lock(mu_);
   queue_.clear();
   queued_bytes_ = 0;
-  buffers_.clear_all();
+  core_.buffers().clear_all();
   data_.clear();
   members_.clear();
   in_flight_bytes_ = 0;
@@ -174,12 +165,7 @@ void RtSlave::restart() {
     std::lock_guard lock(mu_);
     if (!crashed_) return;
     crashed_ = false;
-    // A restarted daemon has no history: estimate from the unloaded-disk
-    // fallback until migrations complete again.
-    estimator_ = core::MigrationEstimator({.ewma_alpha = options_.ewma_alpha,
-                                           .reference_block = options_.reference_block,
-                                           .fallback_rate = options_.disk_bandwidth,
-                                           .overdue_correction = true});
+    core_.reset_estimator();
     poked_ = false;
   }
   beat();
@@ -189,29 +175,23 @@ void RtSlave::restart() {
 void RtSlave::admit_settled_locked(const RtMigration& next,
                                    std::vector<core::BufferManager::Demotion>& demoted) {
   const BlockId block = next.m.block;
-  const auto size = static_cast<std::size_t>(next.m.size);
-  if (buffers_.contains(block)) {
-    // A re-migrated block: fold the new references in; refresh the real
-    // bytes only if the block still lives in the memory tier.
-    buffers_.add_refs(block, next.m.jobs);
-    if (buffers_.tier_of(block) == Tier::Memory) data_[block].assign(size, std::byte{});
-    return;
+  core::BufferManager& buffers = core_.buffers();
+  if (buffers.contains(block)) {
+    // A re-migrated block: fold the new references in.
+    buffers.add_refs(block, next.m.jobs);
+  } else {
+    // A refused admission (pressure + RefuseAdmission) still settles the
+    // migration — the block just is not buffered — and the attempt may
+    // still have forced demotions out of the ssd cascade.
+    const std::size_t before = demoted.size();
+    core_.admit(block, next.m.size, next.m.jobs, demoted, next.cycle);
+    for (std::size_t i = before; i < demoted.size(); ++i) data_.erase(demoted[i].block);
   }
-  const std::size_t before = demoted.size();
-  if (buffers_.try_add(block, next.m.size, next.m.jobs, &demoted, next.cycle)) {
-    // "Pin" the block: allocate and fill a real buffer, retained only
-    // while some job references it. Residency makes it a demotion victim.
-    buffers_.mark_resident(block);
-    data_[block] = std::vector<std::byte>(size);
+  // "Pin" a memory-resident block: a real, filled buffer, retained only
+  // while some job references it.
+  if (buffers.contains(block) && buffers.tier_of(block) == Tier::Memory) {
+    data_[block].assign(static_cast<std::size_t>(next.m.size), std::byte{});
   }
-  // A refused admission (pressure + RefuseAdmission) still settles the
-  // migration — the block just is not buffered — and the attempt may still
-  // have forced demotions out of the ssd cascade, so process them anyway.
-  demotions_ += static_cast<long>(demoted.size() - before);
-  if (ctr_demotions_) ctr_demotions_->add(static_cast<long>(demoted.size() - before));
-  for (std::size_t i = before; i < demoted.size(); ++i) data_.erase(demoted[i].block);
-  if (gauge_memory_used_) gauge_memory_used_->set(static_cast<double>(buffers_.used()));
-  if (gauge_ssd_used_) gauge_ssd_used_->set(static_cast<double>(buffers_.ssd_used()));
 }
 
 void RtSlave::process_demotions(const std::vector<core::BufferManager::Demotion>& demoted) {
@@ -223,7 +203,7 @@ void RtSlave::process_demotions(const std::vector<core::BufferManager::Demotion>
     // Demote events merge under the victim's own lifecycle (its admission
     // cycle): kRankDemote sorts strictly after that cycle's terminal event.
     emit_cycle_ = d.cookie != 0 ? d.cookie : 1;
-    emitter_.demote(now_us(), d.block, options_.node, d.from, d.to, d.size);
+    core_.demote(now_us(), d);
   }
 }
 
@@ -231,62 +211,12 @@ void RtSlave::drop_job(JobId job) {
   std::lock_guard lock(mu_);
   for (auto& m : queue_) m.m.jobs.erase(job);
   // Implicit eviction: buffers nobody references anymore are freed.
-  for (BlockId block : buffers_.release_job(job)) data_.erase(block);
-}
-
-double RtSlave::sec_per_byte() const {
-  std::lock_guard lock(mu_);
-  return estimator_.per_byte_estimate();
+  for (BlockId block : core_.buffers().release_job(job)) data_.erase(block);
 }
 
 Bytes RtSlave::bound_bytes() const {
   std::lock_guard lock(mu_);
   return in_flight_bytes_ + queued_bytes_;
-}
-
-std::size_t RtSlave::buffered_count() const {
-  std::lock_guard lock(mu_);
-  return buffers_.buffered_count();
-}
-
-Bytes RtSlave::buffered_bytes() const {
-  std::lock_guard lock(mu_);
-  return buffers_.used() + buffers_.ssd_used();
-}
-
-Bytes RtSlave::memory_tier_bytes() const {
-  std::lock_guard lock(mu_);
-  return buffers_.used();
-}
-
-Bytes RtSlave::ssd_tier_bytes() const {
-  std::lock_guard lock(mu_);
-  return buffers_.ssd_used();
-}
-
-long RtSlave::demotions() const {
-  std::lock_guard lock(mu_);
-  return demotions_;
-}
-
-std::vector<core::BufferManager::TierDecision> RtSlave::tier_log() const {
-  std::lock_guard lock(mu_);
-  return buffers_.tier_log();
-}
-
-long RtSlave::completed() const {
-  std::lock_guard lock(mu_);
-  return completed_;
-}
-
-long RtSlave::retries() const {
-  std::lock_guard lock(mu_);
-  return retries_;
-}
-
-long RtSlave::permanent_failures() const {
-  std::lock_guard lock(mu_);
-  return permanent_failures_;
 }
 
 void RtSlave::worker_loop(std::stop_token st) {
@@ -357,8 +287,7 @@ void RtSlave::drain(std::vector<RtMigration> batch, const std::stop_token& st) {
           members_[i].state = MemberState::Active;
         }
         emit_cycle_ = batch[i].cycle;
-        emitter_.transfer_start(now_us(), batch[i].m.block, options_.node, batch[i].m.size,
-                                batch[i].m.attempts + 1);
+        core_.transfer_start(now_us(), batch[i].m);
         return true;
       },
       /*item_cancelled=*/
@@ -390,18 +319,15 @@ void RtSlave::drain(std::vector<RtMigration> batch, const std::stop_token& st) {
         faulted.push_back(std::move(batch[i]));  // time spent, no usable data
         continue;
       }
-      // The estimator learns token-bucket service time, not wall time.
-      estimator_.on_complete(batch[i].m.size, service_s[i]);
       if (!batch[i].m.jobs.empty()) admit_settled_locked(batch[i], demoted);
-      ++completed_;
-      RtMigrationDone done;
-      done.block = block;
-      done.node = options_.node;
-      done.size = batch[i].m.size;
-      done.duration_s = service_s[i];
-      done.cycle = batch[i].cycle;
-      done.jobs = batch[i].m.jobs;
-      dones.push_back(std::move(done));
+      // The estimator learns token-bucket service time, not wall time.
+      core_.complete(block, batch[i].m.size, service_s[i]);
+      dones.push_back({.block = block,
+                       .node = options_.node,
+                       .size = batch[i].m.size,
+                       .duration_s = service_s[i],
+                       .cycle = batch[i].cycle,
+                       .jobs = batch[i].m.jobs});
     }
     members_.clear();
     in_flight_bytes_ = 0;
@@ -425,35 +351,24 @@ void RtSlave::drain(std::vector<RtMigration> batch, const std::stop_token& st) {
 }
 
 bool RtSlave::back_off(RtMigration& f, const std::stop_token& st) {
-  ++f.m.attempts;
   emit_cycle_ = f.cycle;
-  if (options_.retry.exhausted(f.m.attempts)) {
-    {
-      std::lock_guard lock(mu_);
-      if (crashed_) return false;
-      ++permanent_failures_;
-    }
-    emitter_.transfer_failed(now_us(), f.m.block, options_.node, f.m.attempts);
+  std::unique_lock lock(mu_);
+  if (crashed_) return false;
+  const std::optional<SimDuration> delay = core_.fail_attempt(now_us(), f.m);
+  if (!delay) {
+    lock.unlock();
     if (on_failed_) on_failed_(options_.node, std::move(f));
     return false;
   }
   // Capped exponential backoff on the worker thread. The block waits as a
   // queued member, so cancel() finds it and wakes the wait, and the
   // migration then settles as cancelled; stop interrupts it too.
-  const SimDuration delay = options_.retry.backoff_for(f.m.attempts);
-  {
-    std::lock_guard lock(mu_);
-    if (crashed_) return false;
-    ++retries_;
-    members_.push_back({f.m.block, MemberState::Queued});
-    in_flight_bytes_ = f.m.size;
-  }
-  emitter_.transfer_retry(now_us(), f.m.block, options_.node, f.m.attempts, delay);
-  std::unique_lock lock(mu_);
+  members_.push_back({f.m.block, MemberState::Queued});
+  in_flight_bytes_ = f.m.size;
   const auto interrupted = [&] {
     return st.stop_requested() || members_.front().state == MemberState::Cancelled;
   };
-  cv_.wait_for(lock, std::chrono::microseconds(delay), interrupted);
+  cv_.wait_for(lock, std::chrono::microseconds(*delay), interrupted);
   if (!interrupted()) return true;  // members_ is the re-read's batch of one
   members_.clear();
   in_flight_bytes_ = 0;

@@ -2,8 +2,8 @@
 //
 // One worker thread per slave serializes migrations exactly like the
 // simulated slave: take from the local FIFO queue, read the block from the
-// throttled disk into a freshly allocated pinned buffer, record the token
-// service time in the shared MigrationEstimator, report completion. The
+// throttled disk into a freshly allocated pinned buffer, hand the token
+// service time to the shared core::SlaveCore, report completion. The
 // local queue is bounded; the worker pulls from the master on every loop
 // iteration that finds queue space — the late-binding protocol of §III-A1
 // with real threads and condition variables.
@@ -17,19 +17,15 @@
 // emission does not depend on the batch size, so merged span sequences are
 // identical at every `drain_batch`.
 //
-// Transient read failures (injected through the FaultSurface read-fault
-// hook, see set_read_fault_hook) are retried in place with the shared
-// core::RetryPolicy: a faulted member backs off on the worker thread
-// (capped exponential, interruptible by cancel/stop) and re-enters the
-// drain routine as a batch of one. Exhausting the budget reports the
-// migration back to the master via `on_failed`, which requeues it with
-// this node on the avoid list.
-//
-// Settled blocks land in the shared core::BufferManager over two counting
-// tiers (memory, ssd): the same SLRU segments, watermark demotion and
-// admission policy the sim slave runs, so both backends make identical
-// tier decisions. Memory -> ssd spills are paced on a second ThrottledDisk
-// (the flash device); ssd -> disk demotions drop the buffer entirely.
+// The decisions are core::SlaveCore's, the same ones the sim slave makes;
+// every call into it is under mu_ except the transfer-start and demote
+// emissions, which only the worker makes. A read that faults (the
+// FaultSurface read-fault hook) backs off on the worker thread,
+// interruptible by cancel/stop, and re-enters the drain routine as a batch
+// of one; a spent retry budget goes back to the master via `on_failed`.
+// Settled blocks are admitted over two counting tiers (memory, ssd);
+// memory -> ssd spills are paced on a second ThrottledDisk (the flash
+// device), and ssd -> disk demotions drop the buffer.
 //
 // The slave also exposes the rt failure surface: the worker publishes a
 // wall-clock heartbeat every loop iteration and every disk slice;
@@ -51,16 +47,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/tier_store.h"
 #include "common/ids.h"
-#include "common/tier.h"
-#include "core/lifecycle.h"
 #include "core/queue_depth.h"
 #include "core/retry_policy.h"
+#include "core/slave_core.h"
 #include "core/tier_policy.h"
+#include "core/tier_store.h"
 #include "core/types.h"
-#include "dyrs/buffer_manager.h"
-#include "dyrs/estimator.h"
 #include "obs/obs_context.h"
 #include "rt/throttled_disk.h"
 
@@ -86,6 +79,13 @@ struct RtMigrationDone {
 };
 
 class RtSlave {
+  /// Runs `read` on the slave core under mu_ (the thread-safe accessors).
+  template <typename F>
+  auto locked(F read) const {
+    std::lock_guard lock(mu_);
+    return read(core_);
+  }
+
  public:
   struct Options {
     NodeId node;
@@ -148,7 +148,9 @@ class RtSlave {
   ThrottledDisk& disk() { return disk_; }
 
   /// Thread-safe: current migration-time estimate in sec/byte.
-  double sec_per_byte() const;
+  double sec_per_byte() const {
+    return locked([](auto& c) { return c.estimator().per_byte_estimate(); });
+  }
   /// Estimator reference block size (for est_s_per_block samples).
   Bytes reference_block() const { return options_.reference_block; }
   /// Bytes bound locally (queued + in flight).
@@ -201,22 +203,29 @@ class RtSlave {
   /// blocks, freeing buffers nobody references anymore. Thread-safe.
   void drop_job(JobId job);
 
+  // --- thread-safe reads of the slave core ------------------------------
   /// Buffered blocks migrated so far (copies real bytes into real memory).
-  std::size_t buffered_count() const;
-  Bytes buffered_bytes() const;
-  /// Per-tier occupancy of the buffer manager. Thread-safe.
-  Bytes memory_tier_bytes() const;
-  Bytes ssd_tier_bytes() const;
+  std::size_t buffered_count() const {
+    return locked([](auto& c) { return c.buffers().buffered_count(); });
+  }
+  Bytes buffered_bytes() const {
+    return locked([](auto& c) { return c.buffers().used() + c.buffers().ssd_used(); });
+  }
+  /// Per-tier occupancy of the buffer manager.
+  Bytes memory_tier_bytes() const { return locked([](auto& c) { return c.buffers().used(); }); }
+  Bytes ssd_tier_bytes() const { return locked([](auto& c) { return c.buffers().ssd_used(); }); }
   /// Blocks demoted downward by capacity pressure (memory -> ssd -> disk).
-  long demotions() const;
+  long demotions() const { return locked([](auto& c) { return c.demotions(); }); }
   /// Copy of the buffer manager's admission/demotion decision log — the
   /// sim-vs-rt differential test compares per-node projections of this.
-  std::vector<core::BufferManager::TierDecision> tier_log() const;
-  long completed() const;
+  std::vector<core::BufferManager::TierDecision> tier_log() const {
+    return locked([](auto& c) { return c.buffers().tier_log(); });
+  }
+  long completed() const { return locked([](auto& c) { return c.completed(); }); }
   /// Transient failures absorbed by a local retry.
-  long retries() const;
+  long retries() const { return locked([](auto& c) { return c.retries(); }); }
   /// Migrations that exhausted the retry budget and were reported failed.
-  long permanent_failures() const;
+  long permanent_failures() const { return locked([](auto& c) { return c.permanent_failures(); }); }
 
   /// Asks the worker to stop after the current slice and joins it.
   void stop();
@@ -245,14 +254,16 @@ class RtSlave {
   /// completion report, then backs off each member that surfaced a
   /// transient fault and re-runs it as a batch of one.
   void drain(std::vector<RtMigration> batch, const std::stop_token& st);
-  /// Counts a faulted read of `f`: reports a permanent failure once the
-  /// retry budget is spent, else sleeps out the backoff with `f` as the
-  /// one queued member. True means re-read it (members_ is then its batch
-  /// of one); false means it settled (failed, cancelled, or stopped).
+  /// Takes the core's retry-or-fail decision for a faulted read of `f`:
+  /// reports a permanent failure once the retry budget is spent, else
+  /// sleeps out the backoff with `f` as the one queued member. True means
+  /// re-read it (members_ is then its batch of one); false means it
+  /// settled (failed, cancelled, or stopped).
   bool back_off(RtMigration& f, const std::stop_token& st);
-  /// Admits a settled migration into the buffer manager (or folds new refs
-  /// into an already-buffered block), appending any demotions it forced to
-  /// `demoted`. Caller holds mu_ and processes `demoted` after releasing it.
+  /// Admits a settled migration through the core (or folds new refs into
+  /// an already-buffered block) and keeps its real bytes while it is in
+  /// memory, appending any demotions it forced to `demoted`. Caller holds
+  /// mu_ and processes `demoted` after releasing it.
   void admit_settled_locked(const RtMigration& next,
                             std::vector<core::BufferManager::Demotion>& demoted);
   /// Paces memory -> ssd spills on the flash device and emits the
@@ -274,11 +285,6 @@ class RtSlave {
   /// Wall-clock latency of each master pull, recorded by the worker thread
   /// only (histograms are single-writer); null when metrics are off.
   obs::Histogram* pull_latency_ = nullptr;
-  /// Per-tier occupancy gauges + demotion counter; null when metrics are
-  /// off. Cached before the worker starts, refreshed at settlement.
-  obs::Gauge* gauge_memory_used_ = nullptr;
-  obs::Gauge* gauge_ssd_used_ = nullptr;
-  obs::Counter* ctr_demotions_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -287,28 +293,23 @@ class RtSlave {
   Bytes in_flight_bytes_ = 0;
   /// Members of the cycle being drained (empty between cycles); under mu_.
   std::vector<Member> members_;
-  core::MigrationEstimator estimator_;
   /// Capacity accounting for the buffered tiers (mutated under mu_ through
-  /// buffers_); capacity 0 reads as unbounded.
-  cluster::CountingTier mem_tier_;
-  cluster::CountingTier ssd_tier_;
-  /// Shared tier engine (SLRU segments, watermark demotion); under mu_.
-  core::BufferManager buffers_;
+  /// the core's buffer manager); capacity 0 reads as unbounded.
+  core::CountingTier mem_tier_;
+  core::CountingTier ssd_tier_;
+  /// Estimator, buffer manager, counters and emitter; under mu_ except
+  /// for the worker's emission-only calls (see the header comment).
+  core::SlaveCore core_;
   /// Real bytes for *memory-resident* blocks (under mu_). A demotion spills
   /// or drops the in-memory copy, so ssd-tier blocks carry no bytes here.
   std::unordered_map<BlockId, std::vector<std::byte>> data_;
-  long demotions_ = 0;                            // under mu_
   std::function<bool(BlockId)> read_fault_hook_;  // under mu_
   bool crashed_ = false;                          // under mu_
   std::atomic<bool> partitioned_{false};
   std::atomic<std::int64_t> last_beat_us_{0};
-  long completed_ = 0;
-  long retries_ = 0;
-  long permanent_failures_ = 0;
   bool poked_ = false;
   std::uint64_t tseq_ = 0;        // trace merge-key sequence; worker thread only
-  std::uint64_t emit_cycle_ = 1;  // cycle the emitter stamps with; worker thread only
-  core::LifecycleEmitter emitter_;
+  std::uint64_t emit_cycle_ = 1;  // cycle the core's emitter stamps with; worker thread only
 
   std::jthread worker_;  // last member: joins before the rest is destroyed
 };

@@ -62,9 +62,6 @@ class FairShareResource {
   /// Changes nominal capacity (e.g. a degraded disk). Takes effect now.
   void set_capacity(Rate capacity);
 
-  /// Current per-flow rate (0 when idle).
-  Rate per_flow_rate() const { return per_flow_rate_; }
-
   /// Bytes still to transfer for a finite flow, as of now.
   Bytes remaining_bytes(FlowId id);
 

@@ -20,17 +20,21 @@ EventHandle Simulator::every(SimDuration interval, EventFn fn) {
   auto shared_fn = std::make_shared<EventFn>(std::move(fn));
 
   // Self-rescheduling occurrence. Captures `this` — the Simulator must
-  // outlive its events, which holds because it owns the queue.
+  // outlive its events, which holds because it owns the queue. Queued
+  // events own the occurrence (also while it runs) and it refers to itself
+  // weakly, so a recurrence still queued is freed with the Simulator.
   auto occurrence = std::make_shared<EventFn>();
-  *occurrence = [this, master, shared_fn, occurrence, interval]() {
+  *occurrence = [this, master, shared_fn, self = std::weak_ptr<EventFn>(occurrence),
+                 interval]() {
     if (master->cancelled) return;
     (*shared_fn)();
-    if (!master->cancelled) schedule_after(interval, [occurrence]() { (*occurrence)(); });
+    if (master->cancelled) return;
+    schedule_after(interval, [next = self.lock()]() { (*next)(); });
   };
   schedule_after(interval, [occurrence]() { (*occurrence)(); });
 
-  // Keep the master alive for the lifetime of the recurrence by tying it to
-  // the occurrence closure (it is captured there), and hand out a handle.
+  // The master lives as long as the occurrence closure that captures it;
+  // the handle only observes it.
   return EventHandle(master);
 }
 

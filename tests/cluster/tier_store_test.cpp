@@ -4,7 +4,7 @@
 // so its contract (admit-or-refuse with no partial state, release symmetry,
 // the read-time ordering memory < ssd < disk) is what keeps both backends'
 // decisions identical.
-#include "cluster/tier_store.h"
+#include "core/tier_store.h"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,9 @@
 
 namespace dyrs::cluster {
 namespace {
+
+using core::CountingTier;
+using core::TierStore;
 
 TEST(CountingTier, AdmitsUpToCapacityAndRefusesBeyond) {
   CountingTier t(Tier::Memory, gib(1), gib_per_sec(25));

@@ -1,4 +1,4 @@
-#include "dyrs/buffer_manager.h"
+#include "core/buffer_manager.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "faults/fault_injector.h"
+#include "exec/fault_injector.h"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,8 @@
 
 namespace dyrs::faults {
 namespace {
+
+using exec::FaultInjector;
 
 using dyrs::testing::MiniDfs;
 

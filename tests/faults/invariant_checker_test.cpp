@@ -1,4 +1,4 @@
-#include "faults/invariant_checker.h"
+#include "exec/invariant_checker.h"
 
 #include <gtest/gtest.h>
 

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "dyrs/strategies.h"
-#include "faults/fault_injector.h"
+#include "exec/fault_injector.h"
 #include "testing/fixture.h"
 
 namespace dyrs::faults {
 namespace {
+
+using exec::FaultInjector;
 
 using dyrs::testing::MiniDfs;
 

@@ -4,7 +4,7 @@
 // declared-dead, bound-work reclaim, rejoin). Wall-clock timing is loose —
 // detection windows are sized so transitions are unambiguous even on a
 // loaded CI machine.
-#include "faults/rt_fault_injector.h"
+#include "rt/fault_injector.h"
 
 #include <gtest/gtest.h>
 
@@ -36,8 +36,8 @@ RtSlave::Options slave_opts(int node, Rate bw) {
   return o;
 }
 
-RtMaster::Options::FailureDetection fast_detection() {
-  RtMaster::Options::FailureDetection fd;
+core::FailureDetection fast_detection() {
+  core::FailureDetection fd;
   fd.enabled = true;
   fd.monitor_interval = 5ms;
   fd.suspect_after = 60ms;
@@ -87,7 +87,7 @@ TEST(RtFaults, SlaveCrashMidMigrationRequeuesToSurvivors) {
     blocks.push_back({BlockId(200 + i), mib(16), {NodeId(2), NodeId(0)}, JobId(2)});
   }
 
-  faults::RtFaultInjector injector(master, /*seed=*/7);
+  RtFaultInjector injector(master, /*seed=*/7);
   faults::FaultSurface& surface = injector;  // exercised via the shared interface
   // Restart only after the survivors have drained everything (~1.5s), so
   // no still-pending block can retarget back to the rejoined node and
@@ -147,7 +147,7 @@ TEST(RtFaults, PartitionDeclaredDeadZombieSuppressedThenRejoins) {
   for (int i = 0; i < 24; ++i) blocks.push_back({BlockId(i), mib(1), {NodeId(0)}, JobId(1)});
   blocks.push_back({BlockId(500), mib(16), {NodeId(1), NodeId(0)}, JobId(2)});
 
-  faults::RtFaultInjector injector(master, /*seed=*/3);
+  RtFaultInjector injector(master, /*seed=*/3);
   faults::FaultPlan plan;
   plan.partition(NodeId(1), milliseconds(40), milliseconds(900));
   injector.install(plan);
@@ -177,7 +177,7 @@ TEST(RtFaults, IoErrorWindowRetriesLocallyUntilClean) {
   opts.retry = {.max_attempts = 50, .backoff = milliseconds(1), .backoff_cap = milliseconds(4)};
   RtMaster master({.slaves = {opts}, .retarget_interval = 2ms});
 
-  faults::RtFaultInjector injector(master, /*seed=*/11);
+  RtFaultInjector injector(master, /*seed=*/11);
   faults::FaultPlan plan;
   plan.io_errors(NodeId(0), 0, seconds(30), 0.5);
   injector.install(plan);
@@ -196,7 +196,7 @@ TEST(RtFaults, DiskDegradationScalesAndRestoresBandwidth) {
   RtMaster master({.slaves = {slave_opts(0, mib_per_sec(100))}, .retarget_interval = 2ms});
   const Rate base = master.slave(NodeId(0)).disk().bandwidth();
 
-  faults::RtFaultInjector injector(master, /*seed=*/5);
+  RtFaultInjector injector(master, /*seed=*/5);
   faults::FaultPlan plan;
   plan.degrade_disk(NodeId(0), milliseconds(10), milliseconds(700), 0.25);
   plan.degrade_disk(NodeId(0), milliseconds(30), milliseconds(600), 0.5);  // overlap multiplies
@@ -213,7 +213,7 @@ TEST(RtFaults, StopRestoresUnfinishedWindows) {
   RtMaster master({.slaves = {slave_opts(0, mib_per_sec(100))}, .retarget_interval = 2ms});
   const Rate base = master.slave(NodeId(0)).disk().bandwidth();
 
-  faults::RtFaultInjector injector(master, /*seed=*/5);
+  RtFaultInjector injector(master, /*seed=*/5);
   faults::FaultPlan plan;
   plan.degrade_disk(NodeId(0), milliseconds(5), seconds(600), 0.1);
   plan.partition(NodeId(0), milliseconds(5), seconds(600));
@@ -229,7 +229,7 @@ TEST(RtFaults, StopRestoresUnfinishedWindows) {
 
 TEST(RtFaults, InstallRejectsUnknownNodeAndDoubleInstall) {
   RtMaster master({.slaves = {slave_opts(0, mib_per_sec(100))}, .retarget_interval = 2ms});
-  faults::RtFaultInjector injector(master, /*seed=*/1);
+  RtFaultInjector injector(master, /*seed=*/1);
   faults::FaultPlan bad;
   bad.crash_process(NodeId(9), milliseconds(1), milliseconds(2));
   EXPECT_THROW(injector.install(bad), dyrs::CheckError);
@@ -272,7 +272,7 @@ TEST(RtFaults, PermanentIoErrorsNeverRebindToAvoidedReplica) {
   options.retarget_interval = 2ms;
   RtMaster master(std::move(options));
 
-  faults::RtFaultInjector injector(master, /*seed=*/3);
+  RtFaultInjector injector(master, /*seed=*/3);
   faults::FaultPlan plan;
   plan.io_errors(NodeId(0), 0, seconds(60), 1.0);  // every attempt on node 0 fails
   injector.install(plan);
@@ -297,6 +297,50 @@ TEST(RtFaults, PermanentIoErrorsNeverRebindToAvoidedReplica) {
   for (const auto& [block, count] : binds_at_bad) {
     EXPECT_LE(count, 1) << "block " << block << " re-bound to its avoided replica";
   }
+}
+
+// The avoid list of a *targeted* entry grows after its target was chosen:
+// a second job's migrate() opens a fresh pending entry for a block whose
+// first binding is still out at the failing node, Algorithm 1 targets that
+// entry at the failing node (the fastest replica), and the permanent
+// failure then requeues the first binding into it, merging the node into
+// its avoid list. The merged entry must complete at the other replica and
+// never bind to the failed node again.
+TEST(RtFaults, PermanentFailureMergedIntoTargetedEntryNeverRebindsThere) {
+  auto bad = slave_opts(0, mib_per_sec(400));  // fastest: Algorithm 1's pick
+  bad.retry = {.max_attempts = 2, .backoff = milliseconds(300), .backoff_cap = seconds(1)};
+  RtMaster::Options options;
+  options.slaves = {bad, slave_opts(1, mib_per_sec(100))};
+  // No periodic pass: targets move only at migrate() and at the requeue.
+  options.retarget_interval = 1h;
+  RtMaster master(std::move(options));
+  master.slave(NodeId(0)).set_read_fault_hook([](BlockId) { return true; });
+
+  const RtBlock first{BlockId(7), 256 * kKiB, {NodeId(0), NodeId(1)}, JobId(1)};
+  master.migrate({first});
+  // The first read at node 0 failed and is sleeping out its backoff: the
+  // binding is still out there.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (master.slave(NodeId(0)).retries() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(master.slave(NodeId(0)).retries(), 1);
+  ASSERT_EQ(master.slave(NodeId(0)).permanent_failures(), 0);
+
+  RtBlock second = first;
+  second.job = JobId(2);
+  master.migrate({second});  // opens a new pending entry, targeted at node 0
+  ASSERT_TRUE(master.wait_idle(30s));
+
+  EXPECT_EQ(master.slave(NodeId(0)).permanent_failures(), 1);
+  EXPECT_EQ(master.completed(), 1);  // one lifecycle carried both jobs
+  EXPECT_EQ(master.completed_per_node()[NodeId(1)], 1);
+  const auto per_job = master.completed_per_job();
+  EXPECT_EQ(per_job.at(JobId(1)), 1);
+  EXPECT_EQ(per_job.at(JobId(2)), 1);
+  const std::vector<std::pair<BlockId, NodeId>> expected = {{BlockId(7), NodeId(0)},
+                                                            {BlockId(7), NodeId(1)}};
+  EXPECT_EQ(master.binding_log(), expected);
 }
 
 // Zombie suppression with *batched* completions: a partitioned slave
@@ -345,7 +389,7 @@ TEST(RtFaults, BatchedZombieCompletionsSuppressedPerMember) {
   // heal at 1.5s. The detector reclaims all four bindings at ~550ms:
   // block 600 (only replica is the dead node) aborts untargetable, the
   // three dual blocks requeue to node 0 with node 1 on the avoid list.
-  faults::RtFaultInjector injector(master, /*seed=*/11);
+  RtFaultInjector injector(master, /*seed=*/11);
   faults::FaultPlan plan;
   plan.partition(NodeId(1), milliseconds(40), milliseconds(1500));
   injector.install(plan);

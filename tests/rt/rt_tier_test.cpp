@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "faults/rt_fault_injector.h"
+#include "rt/fault_injector.h"
 #include "obs/metrics_registry.h"
 #include "obs/thread_buffer_sink.h"
 #include "obs/trace.h"
@@ -193,7 +193,7 @@ TEST(RtTier, DemotionsComposeWithCrashRequeue) {
     blocks.push_back({BlockId(i), kBlock, {NodeId(0), NodeId(1)}, JobId(1)});
   }
 
-  faults::RtFaultInjector injector(master, /*seed=*/11);
+  RtFaultInjector injector(master, /*seed=*/11);
   faults::FaultPlan plan;
   plan.crash_process(NodeId(1), milliseconds(40), milliseconds(3000));
   injector.install(plan);

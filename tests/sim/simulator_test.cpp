@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/units.h"
@@ -113,6 +114,24 @@ TEST(Simulator, EveryCancelFromInsideCallback) {
   });
   sim.run();
   EXPECT_EQ(count, 3);
+}
+
+TEST(Simulator, EveryIsFreedWithTheSimulator) {
+  // An armed recurrence must not keep itself alive: once its Simulator is
+  // destroyed, everything the callback captured is released.
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  EventHandle h;
+  {
+    Simulator sim;
+    h = sim.every(seconds(1), [sentinel] { ++*sentinel; });
+    sentinel.reset();
+    sim.run_until(seconds(3));
+    EXPECT_EQ(*watch.lock(), 3);
+    EXPECT_TRUE(h.pending());
+  }
+  EXPECT_TRUE(watch.expired());
+  EXPECT_FALSE(h.pending());
 }
 
 TEST(Simulator, StepReturnsFalseWhenIdle) {
